@@ -31,7 +31,8 @@ ANYWHERE = "anywhere"
 _MODEL_TAGS = (POINT, ANYWHERE)
 
 
-@dataclass(frozen=True, order=True)
+# slotted: schedules and candidate lists hold many of these
+@dataclass(frozen=True, order=True, slots=True)
 class Point:
     x: float
     y: float = 0.0
@@ -126,7 +127,7 @@ class Instance:
         return max(self.rates) / min(self.rates)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BurnSource:
     center: Point
     step: int  # ignition step, 1-based

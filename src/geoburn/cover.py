@@ -9,6 +9,7 @@ point-model pipeline, and a grouped max-coverage greedy.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from functools import lru_cache
@@ -148,57 +149,136 @@ def disk_cover_local_search(points: Sequence[Point], radius: float,
                             swap_budget: int) -> list[Point]:
     """Shrink a cover by replacing j chosen disks with j-1 candidates.
 
-    Tries swap sizes j = 2..swap_budget until no swap applies.  Effort is
-    capped: oversized inputs are returned unchanged.
+    Tries swap sizes j = 2..swap_budget until no swap applies: drop sets
+    in lexicographic order, and for each the lexicographically first
+    j-1 candidates that cover the hole it leaves (see ``_cover_hole``).
+    Candidates are grouped by equal coverage mask once per call, and the
+    union of the kept disks comes from a table of ORs over index ranges
+    of the current cover.  Effort is capped: oversized inputs are
+    returned unchanged.
     """
     if swap_budget < 2 or len(chosen) > 48 or len(candidates) > 4000:
         return list(chosen)
-    cand_masks = coverage_masks(candidates, radius, points)
+    mg = _MaskGroups(coverage_masks(candidates, radius, points))
     full = (1 << len(points)) - 1
     current = list(chosen)
+    masks = [coverage_mask(c, radius, points) for c in current]
     improved = True
     while improved:
         improved = False
-        masks = [coverage_mask(c, radius, points) for c in current]
-        for j in range(2, min(swap_budget, len(current)) + 1):
-            for drop in itertools.combinations(range(len(current)), j):
-                base = 0
-                for i, m in enumerate(masks):
-                    if i not in drop:
-                        base |= m
+        count = len(masks)
+        # ors[a][b] is the OR of masks[a:b]
+        ors = [[0] * (count + 1) for _ in range(count + 1)]
+        for a in range(count):
+            row, acc = ors[a], 0
+            for b in range(a, count):
+                acc |= masks[b]
+                row[b + 1] = acc
+        for j in range(2, min(swap_budget, count) + 1):
+            for drop in itertools.combinations(range(count), j):
+                base = ors[0][drop[0]] | ors[drop[-1] + 1][count]
+                for a, b in zip(drop, drop[1:]):
+                    base |= ors[a + 1][b]
                 need = full & ~base
                 if need == 0:
-                    current = [c for i, c in enumerate(current) if i not in drop]
-                    improved = True
-                    break
-                repl = _cover_hole(need, cand_masks, j - 1)
-                if repl is not None:
-                    current = [c for i, c in enumerate(current) if i not in drop]
-                    current.extend(candidates[i] for i in repl)
-                    improved = True
-                    break
+                    repl = ()
+                else:
+                    repl = _cover_hole(need, mg, j - 1)
+                    if repl is None:
+                        continue
+                current = [c for i, c in enumerate(current) if i not in drop]
+                masks = [mk for i, mk in enumerate(masks) if i not in drop]
+                current.extend(candidates[i] for i in repl)
+                masks.extend(coverage_mask(candidates[i], radius, points)
+                             for i in repl)
+                improved = True
+                break
             if improved:
                 break
     return current
 
 
-def _cover_hole(need: int, cand_masks: list[int], size: int) -> tuple[int, ...] | None:
-    # small exact search: cover `need` with at most `size` candidate masks
-    if size == 0:
+class _MaskGroups:
+    """Candidate indices grouped by equal nonzero coverage mask.
+
+    ``groups`` holds (mask, ascending indices) in order of each group's
+    first index; ``by_bit[b]`` lists, in the same order, the groups whose
+    mask holds bit b.
+    """
+
+    def __init__(self, cand_masks: Sequence[int]) -> None:
+        index: dict[int, list[int]] = {}
+        for i, m in enumerate(cand_masks):
+            if m:
+                index.setdefault(m, []).append(i)
+        self.groups = list(index.items())
+        self.by_bit: dict[int, list[tuple[int, list[int]]]] = {}
+        for g in self.groups:
+            m = g[0]
+            while m:
+                low = m & -m
+                self.by_bit.setdefault(low.bit_length() - 1, []).append(g)
+                m ^= low
+
+
+def _coverable(rem: int, after: int, r: int, mg: _MaskGroups) -> bool:
+    # at most r groups, each with a member above index `after`, cover
+    # `rem`; one of them must hold rem's lowest bit
+    if rem == 0:
+        return True
+    if r == 0:
+        return False
+    for mask, ix in mg.by_bit.get((rem & -rem).bit_length() - 1, ()):
+        if ix[-1] > after:
+            rest = rem & ~mask
+            if rest == 0 or (r > 1 and _coverable(rest, after, r - 1, mg)):
+                return True
+    return False
+
+
+def _cover_hole(need: int, mg: _MaskGroups, size: int) -> tuple[int, ...] | None:
+    """Lexicographically first ``size`` candidates whose masks cover ``need``.
+
+    Returns the first of ``itertools.combinations(useful, size)`` whose
+    masks cover ``need``, with ``useful`` the candidates whose masks
+    meet ``need`` in ascending order; None when none does.  It never
+    enumerates those combinations.  Candidates whose masks agree on
+    ``need`` form one equal-mask class, and whether a partial choice
+    extends to a cover depends only on the classes chosen and on how
+    many members of each class lie above the last pick.  So each
+    position takes the smallest index that still admits a completion:
+    classes are tried in ascending order of their first member above the
+    previous pick (bisected from the sorted index lists), each class
+    once.  r more picks complete a cover iff at most r classes with a
+    member above the pick (read off each group's largest index) cover
+    the rest of ``need``, and at least r useful candidates lie above the
+    pick.
+    """
+    # most holes fail here: no `size` groups cover them at all
+    if size == 0 or not _coverable(need, -1, size, mg):
         return None
-    useful = [i for i, m in enumerate(cand_masks) if m & need]
-    if size == 1:
-        for i in useful:
-            if need & ~cand_masks[i] == 0:
-                return (i,)
-        return None
-    for combo in itertools.combinations(useful, size):
-        got = 0
-        for i in combo:
-            got |= cand_masks[i]
-        if need & ~got == 0:
-            return combo
-    return None
+    useful = [(m, ix) for m, ix in mg.groups if m & need]
+    pick: list[int] = []
+    got, after = 0, -1
+    for r in range(size - 1, -1, -1):
+        firsts = sorted((ix[bisect.bisect_right(ix, after)], m)
+                        for m, ix in useful if ix[-1] > after)
+        tried: set[int] = set()
+        for i, m in firsts:
+            key = m & need
+            if key in tried:
+                # an earlier member of this class admitted no completion
+                continue
+            tried.add(key)
+            if (_coverable(need & ~(got | m), i, r, mg)
+                    and sum(len(ix) - bisect.bisect_right(ix, i)
+                            for _, ix in useful) >= r):
+                break
+        else:
+            return None
+        pick.append(i)
+        got, after = got | m, i
+    return tuple(pick)
 
 
 def disk_cover_approx(points: Sequence[Point], radius: float,

@@ -5,7 +5,9 @@ import random
 
 import pytest
 
+from geoburn import burn2d
 from geoburn.burn2d import (
+    _drop_burnt_ignitions,
     anywhere_burning,
     k_burning_nonuniform,
     max_burn_schedule,
@@ -15,12 +17,14 @@ from geoburn.burn2d import (
 from geoburn.core import (
     ANYWHERE,
     POINT,
+    BurnSource,
     Instance,
     Model,
     Point,
     is_burned,
     validate_schedule,
 )
+from geoburn.ioformats import generate
 from geoburn.oracle import exact_burning_number, exact_max_burn
 
 
@@ -89,6 +93,17 @@ def test_anywhere_rejects_before_accepting():
     flags = [e.accepted for e in trace.entries]
     assert flags == [False] * 6 + [True]
     assert all(e.measure == 13 for e in trace.entries)
+
+
+def test_anywhere_midpoint_band():
+    # n = 45 sits in the band where pair midpoints, but no circumcenters,
+    # are candidates: many candidates per cover disk for local search
+    inst = generate("uniform-square", 45, 1, span=10.0 * math.sqrt(45 / 20))
+    horizon, sched, trace = anywhere_burning(inst, 0.5)
+    assert horizon == 12
+    assert trace.accepted_delta == 4
+    report = validate_schedule(inst, sched)
+    assert report.valid, report.summary()
 
 
 def test_anywhere_ratio_strict():
@@ -173,6 +188,60 @@ def test_point_late_zone_patch():
     assert patch.center in (Point(7800.0, 0.0), Point(7839.5, 0.0))
     report = validate_schedule(inst, sched)
     assert report.valid, report.summary()
+
+
+def test_point_drops_burnt_ignition():
+    # the step-2 cover center (2, 2) is 0.5 from the step-1 center
+    # (1.5, 2), whose fire has radius 1 by then: it is not ignited, and
+    # step 2 stays empty
+    inst = Instance.planar([(0.0, 1.0), (1.5, 2.0), (2.0, 2.0), (3.5, 3.0),
+                            (6.0, 0.0)])
+    horizon, sched, trace = point_burning(inst, 0.5)
+    assert trace.accepted_delta == 2
+    assert horizon == 6
+    assert [(s.center, s.step) for s in sched.sources] == [
+        (Point(1.5, 2.0), 1), (Point(6.0, 0.0), 3)]
+    report = validate_schedule(inst, sched)
+    assert report.valid and not report.warnings, report.summary()
+
+
+def test_drop_burnt_ignitions_tolerance_edge():
+    # the step-2 point lies TOL/2 beyond the step-1 fire's radius 1, so
+    # the validator's test (reach + TOL) calls it burnt; the dropped fire
+    # would burn the outer point at +0.9 TOL, which the step-1 fire
+    # misses by 0.4 TOL, so that source is kept
+    early = BurnSource(Point(0.0, 0.0), 1)
+    late = BurnSource(Point(1.0 + 0.5e-9, 0.0), 2)
+    lost = [early.center, late.center, Point(2.0 + 1.4e-9, 0.0)]
+    assert _drop_burnt_ignitions(lost, 3, [early, late]) == [early, late]
+    inside = [early.center, late.center, Point(2.0 + 0.5e-9, 0.0)]
+    assert _drop_burnt_ignitions(inside, 3, [early, late]) == [early]
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_point_no_burnt_ignitions_sweep(strict, monkeypatch):
+    # clustered draws put cover centers inside earlier fires (seeds 62
+    # and 80 in both modes, 70 strict); the drop keeps every horizon and
+    # keeps the other ignitions at their steps
+    kept = {}
+    for seed in range(100):
+        n = 20 + seed % 21
+        inst = generate("clustered", n, seed, span=10.0 * math.sqrt(n / 20))
+        horizon, sched, _ = point_burning(inst, 0.5, strict_oracle=strict)
+        report = validate_schedule(inst, sched)
+        assert report.valid and not report.warnings, (seed, report.summary())
+        kept[seed] = horizon, sched.sources
+    monkeypatch.setattr(burn2d, "_drop_burnt_ignitions",
+                        lambda points, horizon, sources: sources)
+    dropped = 0
+    for seed, (horizon, sources) in kept.items():
+        n = 20 + seed % 21
+        inst = generate("clustered", n, seed, span=10.0 * math.sqrt(n / 20))
+        h_all, s_all, _ = point_burning(inst, 0.5, strict_oracle=strict)
+        assert h_all == horizon
+        assert set(sources) <= set(s_all.sources)
+        dropped += len(s_all.sources) - len(sources)
+    assert dropped >= 2
 
 
 def test_nonuniform_single_point():

@@ -1,5 +1,6 @@
 """Covering primitives, the five-disk template, and annulus zones."""
 
+import itertools
 import math
 import random
 
@@ -7,6 +8,8 @@ import pytest
 
 from geoburn.core import Point, distance
 from geoburn.cover import (
+    _MaskGroups,
+    _cover_hole,
     ANNULUS_INNER_FRACTION,
     FIVE_COVER_CENTERS,
     FIVE_COVER_RADIUS,
@@ -14,8 +17,11 @@ from geoburn.cover import (
     ZONE_COUNT,
     candidate_centers,
     circumcenter,
+    coverage_mask,
+    coverage_masks,
     disk_cover_approx,
     disk_cover_greedy,
+    disk_cover_local_search,
     disk_graph,
     dominating_set_greedy,
     max_coverage_groups,
@@ -80,6 +86,93 @@ def test_local_search_beats_plain_greedy():
     assert len(polished) == 2
     for p in pts:
         assert any(distance(p, c) <= 1.0 + 1e-9 for c in polished)
+
+
+def _cover_hole_reference(need, cand_masks, size):
+    # the plain enumeration: the first combination, in itertools order,
+    # of `size` candidates meeting `need` whose masks cover it
+    if size == 0:
+        return None
+    useful = [i for i, m in enumerate(cand_masks) if m & need]
+    for combo in itertools.combinations(useful, size):
+        got = 0
+        for i in combo:
+            got |= cand_masks[i]
+        if need & ~got == 0:
+            return combo
+    return None
+
+
+def _local_search_reference(points, radius, chosen, candidates, swap_budget):
+    # disk_cover_local_search without its caps, by plain enumeration:
+    # every drop set's union recomputed, every hole enumerated
+    cand_masks = coverage_masks(candidates, radius, points)
+    full = (1 << len(points)) - 1
+    current = list(chosen)
+    improved = True
+    while improved:
+        improved = False
+        masks = [coverage_mask(c, radius, points) for c in current]
+        for j in range(2, min(swap_budget, len(current)) + 1):
+            for drop in itertools.combinations(range(len(current)), j):
+                base = 0
+                for i, m in enumerate(masks):
+                    if i not in drop:
+                        base |= m
+                need = full & ~base
+                repl = () if need == 0 else _cover_hole_reference(
+                    need, cand_masks, j - 1)
+                if repl is not None:
+                    current = [c for i, c in enumerate(current) if i not in drop]
+                    current.extend(candidates[i] for i in repl)
+                    improved = True
+                    break
+            if improved:
+                break
+    return current
+
+
+def test_cover_hole_matches_enumeration():
+    # duplicate masks, empty masks, and need bits no candidate covers
+    rng = random.Random(314)
+    found = [0, 0, 0, 0]
+    for _ in range(4000):
+        bits = rng.randint(1, 9)
+        pool = [rng.getrandbits(bits) & rng.getrandbits(bits)
+                for _ in range(rng.randint(1, 5))]
+        masks = [rng.choice(pool) if rng.random() < 0.5
+                 else rng.getrandbits(bits) & rng.getrandbits(bits)
+                 for _ in range(rng.randint(0, 24))]
+        need = rng.getrandbits(bits + 1)
+        size = rng.randint(1, 3)
+        want = _cover_hole_reference(need, masks, size)
+        assert _cover_hole(need, _MaskGroups(masks), size) == want, \
+            (need, masks, size)
+        found[size] += want is not None
+    # every size meets holes that do get covered
+    assert min(found[1:]) > 100
+
+
+def test_local_search_matches_enumeration():
+    # on this line only a 4-for-3 swap improves greedy's five disks
+    pts = [Point(x, 0.0) for x in (0.1, 1.7, 1.9, 3.3, 3.4, 5.0, 5.8, 7.8, 10.7)]
+    cands = candidate_centers(pts, circumcenters=False)
+    chosen = disk_cover_greedy(pts, 1.0, cands)
+    assert len(chosen) == 5
+    assert len(disk_cover_local_search(pts, 1.0, chosen, cands, 3)) == 5
+    polished = disk_cover_local_search(pts, 1.0, chosen, cands, 4)
+    assert len(polished) == 4
+    assert polished == _local_search_reference(pts, 1.0, chosen, cands, 4)
+
+    rng = random.Random(2718)
+    for _ in range(40):
+        n = rng.randint(4, 13)
+        pts = [Point(rng.uniform(0, 8), rng.uniform(0, 8)) for _ in range(n)]
+        radius = rng.uniform(1.0, 2.5)
+        cands = candidate_centers(pts, circumcenters=False)
+        chosen = disk_cover_greedy(pts, radius, cands)
+        want = _local_search_reference(pts, radius, chosen, cands, 4)
+        assert disk_cover_local_search(pts, radius, chosen, cands, 4) == want
 
 
 def test_disk_graph_and_dominating_set():
