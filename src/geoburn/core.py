@@ -15,7 +15,11 @@ Two placement models:
 approximation pipelines and as ground truth for the exact solvers.  Igniting
 an already-burnt point in the point model is reported as a *warning*
 (``ignite-burnt-point``) rather than a fatal violation: the covering-style
-pipelines may emit such schedules, and the fire they produce is unchanged.
+pipelines may emit such schedules.  Under uniform rates the later source's
+fire adds nothing: the triangle inequality puts its final disk inside the
+final disk of the earlier fire that reached it (up to ``TOL``).  Under
+different rates it need not, since a fast source ignited inside a slow fire
+can reach beyond it.
 """
 
 from __future__ import annotations

@@ -143,7 +143,9 @@ def _search_horizon(inst: Instance, model: Model, T: int,
             j = order[oi]
             ident, mask = entries[j]
             if not mask & ~covered:
-                break  # descending gain: nothing useful remains this step
+                if slots == model.k:
+                    break  # gains against the node's cover descend
+                continue  # an earlier pick this step broke that order
             picked.append((ident, s))
             new_used = used | (1 << ident) if point_model else used
             if pick(s, entries, order, oi + 1, slots - 1, covered | mask, new_used):

@@ -4,16 +4,21 @@ The solver guesses the horizon delta in increasing order.  A schedule of
 delta steps yields fire radii delta-1, ..., 1, 0, so the guess is feasible
 exactly when intervals of those radii can cover the input.  To decide that
 quickly the radii are rounded up into t = ceil(2 / epsilon) groups (group j
-lends every member radius j * delta / t), and a memoized sweep from the
-rightmost uncovered point checks whether the relaxed multiset covers.  The
-rounding only enlarges radii, so a rejected guess is genuinely below the
-true burning number, and the first accepted guess needs at most
-delta * (1 + epsilon) + 1 steps to realize, giving ratio
-1 + epsilon + 1 / delta*.
+lends every member radius j * delta / t), and the relaxed multiset is
+checked against a sweep from the rightmost uncovered point.  Each move of
+the sweep places one ball and leaves a prefix of the points uncovered, and
+that prefix never decreases as the prefix before the move grows.  So among
+the orders spending one multiset of balls, the one leaving the smallest
+prefix dominates, and a table with one entry per multiset of spent balls
+decides feasibility exactly; only an accepted guess runs the memoized
+sweep that builds the placements.  The rounding only enlarges radii, so a
+rejected guess is genuinely below the true burning number, and the first
+accepted guess needs at most delta * (1 + epsilon) + 1 steps to realize,
+giving ratio 1 + epsilon + 1 / delta*.
 
 When the guess is smaller than the group count, groups degenerate to
-singletons carrying the exact radii delta-1, ..., 0 and the sweep becomes
-an exact feasibility check; the horizon formula keeps using the nominal t.
+singletons carrying the exact radii delta-1, ..., 0 and the check becomes
+exact; the horizon formula keeps using the nominal t.
 """
 
 from __future__ import annotations
@@ -68,15 +73,73 @@ def build_groups(delta: int, t: int) -> GroupSpec:
     return GroupSpec(delta, t, tuple(sizes), radii)
 
 
+def _move(xs: list[float], prefix: int, radius: float, point_model: bool
+          ) -> tuple[float, int]:
+    """Place one ball for the rightmost uncovered point xs[prefix - 1].
+
+    The ball ends exactly there (centers free) or sits on the leftmost
+    input point still reaching it (centers on input points).  Returns its
+    center and the prefix of xs it leaves uncovered.
+    """
+    z = xs[prefix - 1]
+    if point_model:
+        center = xs[bisect_left(xs, z - radius - TOL)]
+    else:
+        center = z - radius
+    return center, bisect_left(xs, center - radius - TOL)
+
+
+def _coverable(xs: list[float], spec: GroupSpec, point_model: bool) -> bool:
+    """Whether some order of spending the grouped balls covers sorted xs.
+
+    best[U] is the smallest prefix left uncovered by any order of spending
+    the multiset U of balls (U[j] <= sizes[j], one mixed-radix int per U).
+    A move's new prefix never decreases as the prefix grows, so the order
+    reaching best[U] also reaches the smallest prefix after any further
+    move, and the table decides exactly what the exhaustive sweep decides.
+    """
+    if not xs:
+        return True
+    sizes = spec.sizes
+    g = len(sizes)
+    strides = []
+    total = 1
+    for size in sizes:
+        strides.append(total)
+        total *= size + 1
+    # best[0] leaves the whole line; every move covers the point it is
+    # placed for, so each other entry ends below len(xs)
+    best = [len(xs)] * total
+    digits = [0] * g
+    for idx in range(total):
+        prefix = best[idx]
+        for j in range(g):
+            if digits[j] < sizes[j]:
+                new_prefix = _move(xs, prefix, spec.radii[j], point_model)[1]
+                if new_prefix == 0:
+                    return True
+                if new_prefix < best[idx + strides[j]]:
+                    best[idx + strides[j]] = new_prefix
+        for j in range(g):  # advance digits to the next index
+            if digits[j] < sizes[j]:
+                digits[j] += 1
+                break
+            digits[j] = 0
+    return False
+
+
 def cover_line(xs: list[float], spec: GroupSpec, point_model: bool
                ) -> list[tuple[float, float]] | None:
     """Cover sorted xs with the grouped radius multiset, or None.
 
-    Sweeps from the right: the ball chosen for the rightmost uncovered
-    point either ends exactly there (centers free) or sits on the leftmost
-    input point still reaching it (centers on input points).  Larger groups
-    are tried first.  Returns (center, radius) placements.
+    A table over the multisets of spent balls (``_coverable``) first
+    decides whether any cover exists, so a rejected guess costs one entry
+    per multiset.  Only an accepted guess runs the memoized sweep, which
+    places balls from the right with ``_move``, larger groups first.
+    Returns (center, radius) placements.
     """
+    if not _coverable(xs, spec, point_model):
+        return None
     n = len(xs)
     g = len(spec.sizes)
     start = tuple(spec.sizes)
@@ -89,16 +152,11 @@ def cover_line(xs: list[float], spec: GroupSpec, point_model: bool
         key = (prefix, left)
         if key in failed:
             return False
-        z = xs[prefix - 1]
         for j in range(g - 1, -1, -1):
             if left[j] == 0:
                 continue
             radius = spec.radii[j]
-            if point_model:
-                center = xs[bisect_left(xs, z - radius - TOL)]
-            else:
-                center = z - radius
-            new_prefix = bisect_left(xs, center - radius - TOL)
+            center, new_prefix = _move(xs, prefix, radius, point_model)
             placements.append((center, radius))
             spent = left[:j] + (left[j] - 1,) + left[j + 1:]
             if sweep(new_prefix, spent):

@@ -89,6 +89,27 @@ def test_burning_number_matches_enumeration():
             rates=tuple(rng.choice([1.0, 2.0]) for _ in range(n)))
         assert exact_burning_number(inst, Model(POINT))[0] == \
             brute_point_burning_number(inst, 1)
+    # planar ones with two ignitions per step
+    for _ in range(6):
+        n = rng.randint(3, 5)
+        inst = Instance.planar(
+            [(rng.uniform(0, 4), rng.uniform(0, 4)) for _ in range(n)])
+        assert exact_burning_number(inst, Model(POINT, 2))[0] == \
+            brute_point_burning_number(inst, 2)
+
+
+def test_burning_number_k2_steps_over_spent_entries():
+    # after a step's first pick, a disk that no longer gains can come
+    # before one that still does; the search must step over it
+    eight = Instance.planar([(0, 0), (0.5, 0), (-0.9, 0), (0.9, 0),
+                             (10, 0), (10.9, 0), (20, 0), (30, 0)])
+    six = Instance.line([-0.9, 0.0, 0.9, 10.0, 20.0, 30.0])
+    for inst in (eight, six):
+        assert brute_point_burning_number(inst, 2) == 2
+        for tag in (POINT, ANYWHERE):
+            T, sched = exact_burning_number(inst, Model(tag, 2))
+            assert T == 2
+            assert validate_schedule(inst, sched).valid
 
 
 def test_anywhere_never_worse_than_point():

@@ -2,10 +2,11 @@
 
 import math
 import random
+from bisect import bisect_left
 
 import pytest
 
-from geoburn.core import ANYWHERE, POINT, Instance, Model, validate_schedule
+from geoburn.core import ANYWHERE, POINT, TOL, Instance, Model, validate_schedule
 from geoburn.oracle import exact_burning_number
 from geoburn.ptas1d import GroupSpec, build_groups, cover_line, ptas_burning_line
 
@@ -65,6 +66,68 @@ def test_cover_line_sweep():
 
     tight = GroupSpec(1, 2, (1,), (0.0,))
     assert cover_line([0.0, 1.0, 2.0], tight, point_model=False) is None
+
+
+def reference_cover_line(xs, spec, point_model):
+    # the memoized sweep alone, without the feasibility table in front
+    g = len(spec.sizes)
+    failed = set()
+    placements = []
+
+    def sweep(prefix, left):
+        if prefix == 0:
+            return True
+        key = (prefix, left)
+        if key in failed:
+            return False
+        z = xs[prefix - 1]
+        for j in range(g - 1, -1, -1):
+            if left[j] == 0:
+                continue
+            radius = spec.radii[j]
+            if point_model:
+                center = xs[bisect_left(xs, z - radius - TOL)]
+            else:
+                center = z - radius
+            new_prefix = bisect_left(xs, center - radius - TOL)
+            placements.append((center, radius))
+            spent = left[:j] + (left[j] - 1,) + left[j + 1:]
+            if sweep(new_prefix, spent):
+                return True
+            placements.pop()
+        failed.add(key)
+        return False
+
+    if not sweep(len(xs), tuple(spec.sizes)):
+        return None
+    return list(placements)
+
+
+def test_cover_line_matches_reference_sweep():
+    # exact regime (t > delta) and an infeasible guess, by hand
+    xs = [0.0, 1.0, 1.0, 3.0, 7.5]
+    for spec in (build_groups(3, 8), build_groups(2, 8), build_groups(4, 2)):
+        for point_model in (False, True):
+            assert cover_line(xs, spec, point_model) == \
+                reference_cover_line(xs, spec, point_model)
+    assert cover_line(xs, build_groups(2, 8), False) is None
+    # every guess up to acceptance on seeded lines with repeated points
+    rng = random.Random(41)
+    for _ in range(200):
+        n = rng.randint(1, 60)
+        xs = [round(rng.uniform(0, n / 2), rng.choice([0, 1, 3]))
+              for _ in range(n)]
+        xs = sorted(xs + rng.sample(xs, n // 5))
+        t = math.ceil(2.0 / rng.choice([2.0, 1.0, 0.5, 0.25]))
+        for point_model in (False, True):
+            delta = 0
+            while True:
+                delta += 1
+                spec = build_groups(delta, t)
+                got = cover_line(xs, spec, point_model)
+                assert got == reference_cover_line(xs, spec, point_model)
+                if got is not None:
+                    break
 
 
 def test_rejects_then_accepts_frozen():
