@@ -72,8 +72,8 @@ def _ifloor(x: float) -> int:
 
 
 def _check(inst: Instance, epsilon: float, uniform: bool) -> None:
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:  # also rejects nan
+        raise ValueError("epsilon must be positive and finite")
     if uniform and not inst.uniform_rates():
         raise ValueError("uniform rates required")
 

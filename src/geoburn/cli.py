@@ -152,13 +152,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _satisfies(formula, assignment: list[bool]) -> bool:
-    return all(
-        any(assignment[abs(lit) - 1] == (lit > 0) for lit in clause)
-        for clause in formula.clauses
-    )
-
-
 def _cmd_hardness_build(args: argparse.Namespace) -> int:
     formula = parse_lsat(_read(args.formula))
     inst, lay = build_reduction(formula)
@@ -194,7 +187,7 @@ def _cmd_hardness_assign2sched(args: argparse.Namespace) -> int:
     assignment = [b == "1" for b in bits]
     _inst, lay = build_reduction(formula)
     sched = assignment_to_schedule(lay, assignment)
-    print(f"# satisfies {'yes' if _satisfies(formula, assignment) else 'no'}")
+    print(f"# satisfies {'yes' if formula.satisfied_by(assignment) else 'no'}")
     sys.stdout.write(write_schedule(sched))
     return 0
 

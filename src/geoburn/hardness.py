@@ -55,6 +55,11 @@ class LsatFormula:
         object.__setattr__(self, "clauses",
                            tuple(tuple(c) for c in self.clauses))
 
+    def satisfied_by(self, assignment) -> bool:
+        """Whether assignment[v - 1] makes some literal of every clause true."""
+        return all(any((lit > 0) == assignment[abs(lit) - 1] for lit in clause)
+                   for clause in self.clauses)
+
 
 @dataclass
 class ReductionLayout:
@@ -486,7 +491,6 @@ def sat_brute_force(formula: LsatFormula) -> list[bool] | None:
     """First satisfying assignment over all 2^n candidates, or None."""
     n = formula.variable_count
     for bits in itertools.product((False, True), repeat=n):
-        if all(any((lit > 0) == bits[abs(lit) - 1] for lit in clause)
-               for clause in formula.clauses):
+        if formula.satisfied_by(bits):
             return list(bits)
     return None

@@ -5,16 +5,15 @@ delta steps yields fire radii delta-1, ..., 1, 0, so the guess is feasible
 exactly when intervals of those radii can cover the input.  To decide that
 quickly the radii are rounded up into t = ceil(2 / epsilon) groups (group j
 lends every member radius j * delta / t), and the relaxed multiset is
-checked against a sweep from the rightmost uncovered point.  Each move of
-the sweep places one ball and leaves a prefix of the points uncovered, and
-that prefix never decreases as the prefix before the move grows.  So among
-the orders spending one multiset of balls, the one leaving the smallest
-prefix dominates, and a table with one entry per multiset of spent balls
-decides feasibility exactly; only an accepted guess runs the memoized
-sweep that builds the placements.  The rounding only enlarges radii, so a
-rejected guess is genuinely below the true burning number, and the first
-accepted guess needs at most delta * (1 + epsilon) + 1 steps to realize,
-giving ratio 1 + epsilon + 1 / delta*.
+placed from the rightmost uncovered point leftward.  Each placement leaves
+a prefix of the points uncovered, and that prefix never decreases as the
+prefix before it grows, so the prefixes a multiset of balls can finish are
+exactly those up to the largest one.  One table of these largest prefixes,
+with one entry per multiset, decides the guess exactly, and a walk down
+the table builds the placements without backtracking.  The rounding only
+enlarges radii, so a rejected guess is genuinely below the true burning
+number, and the first accepted guess needs at most delta * (1 + epsilon)
++ 1 steps to realize, giving ratio 1 + epsilon + 1 / delta*.
 
 When the guess is smaller than the group count, groups degenerate to
 singletons carrying the exact radii delta-1, ..., 0 and the check becomes
@@ -24,8 +23,9 @@ exact; the horizon formula keeps using the nominal t.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
+
+import numpy as np
 
 from geoburn.core import (
     ANYWHERE,
@@ -73,33 +73,36 @@ def build_groups(delta: int, t: int) -> GroupSpec:
     return GroupSpec(delta, t, tuple(sizes), radii)
 
 
-def _move(xs: list[float], prefix: int, radius: float, point_model: bool
-          ) -> tuple[float, int]:
-    """Place one ball for the rightmost uncovered point xs[prefix - 1].
+def cover_line(xs: list[float], spec: GroupSpec, point_model: bool
+               ) -> list[tuple[float, float]] | None:
+    """Cover sorted xs with the grouped radius multiset, or None.
 
-    The ball ends exactly there (centers free) or sits on the leftmost
-    input point still reaching it (centers on input points).  Returns its
-    center and the prefix of xs it leaves uncovered.
+    A move of group j places one ball for the rightmost uncovered point
+    xs[p - 1]: the ball ends exactly there (centers free) or sits on the
+    leftmost input point still reaching it (centers on input points), and
+    leaves the prefix after[j][p - 1] uncovered.  cov[U] is the largest
+    prefix that the multiset U of balls (U[j] <= sizes[j], one mixed-radix
+    int per U) covers, built up from cov[0] = 0 through reach[j][c], the
+    largest prefix whose group-j move lands within c; the guess is
+    feasible iff cov[sizes] is all of xs.  The walk down from
+    (len(xs), sizes) then takes at each step the first group, larger radii
+    first, whose move lands within what the balls left cover, which is
+    the first success of the backtracking sweep in that order.  Returns
+    (center, radius) placements.
     """
-    z = xs[prefix - 1]
+    n = len(xs)
+    arr = np.asarray(xs, dtype=float)
+    radii = np.asarray(spec.radii, dtype=float)[:, None]
     if point_model:
-        center = xs[bisect_left(xs, z - radius - TOL)]
+        centers = arr[np.searchsorted(arr, arr - radii - TOL)]
     else:
-        center = z - radius
-    return center, bisect_left(xs, center - radius - TOL)
+        centers = arr - radii
+    after = np.searchsorted(arr, centers - radii - TOL)
+    # each row of after never decreases, so the count of prefixes whose
+    # move lands within c is also the largest of them
+    reach = [np.bincount(row, minlength=n + 1).cumsum().tolist()
+             for row in after]
 
-
-def _coverable(xs: list[float], spec: GroupSpec, point_model: bool) -> bool:
-    """Whether some order of spending the grouped balls covers sorted xs.
-
-    best[U] is the smallest prefix left uncovered by any order of spending
-    the multiset U of balls (U[j] <= sizes[j], one mixed-radix int per U).
-    A move's new prefix never decreases as the prefix grows, so the order
-    reaching best[U] also reaches the smallest prefix after any further
-    move, and the table decides exactly what the exhaustive sweep decides.
-    """
-    if not xs:
-        return True
     sizes = spec.sizes
     g = len(sizes)
     strides = []
@@ -107,67 +110,30 @@ def _coverable(xs: list[float], spec: GroupSpec, point_model: bool) -> bool:
     for size in sizes:
         strides.append(total)
         total *= size + 1
-    # best[0] leaves the whole line; every move covers the point it is
-    # placed for, so each other entry ends below len(xs)
-    best = [len(xs)] * total
+    cov = [0] * total
     digits = [0] * g
-    for idx in range(total):
-        prefix = best[idx]
-        for j in range(g):
-            if digits[j] < sizes[j]:
-                new_prefix = _move(xs, prefix, spec.radii[j], point_model)[1]
-                if new_prefix == 0:
-                    return True
-                if new_prefix < best[idx + strides[j]]:
-                    best[idx + strides[j]] = new_prefix
-        for j in range(g):  # advance digits to the next index
+    for idx in range(1, total):
+        for j in range(g):  # advance digits to idx
             if digits[j] < sizes[j]:
                 digits[j] += 1
                 break
             digits[j] = 0
-    return False
-
-
-def cover_line(xs: list[float], spec: GroupSpec, point_model: bool
-               ) -> list[tuple[float, float]] | None:
-    """Cover sorted xs with the grouped radius multiset, or None.
-
-    A table over the multisets of spent balls (``_coverable``) first
-    decides whether any cover exists, so a rejected guess costs one entry
-    per multiset.  Only an accepted guess runs the memoized sweep, which
-    places balls from the right with ``_move``, larger groups first.
-    Returns (center, radius) placements.
-    """
-    if not _coverable(xs, spec, point_model):
+        cov[idx] = max([rj[cov[idx - s]]
+                        for rj, s, d in zip(reach, strides, digits) if d])
+    if cov[-1] < n:
         return None
-    n = len(xs)
-    g = len(spec.sizes)
-    start = tuple(spec.sizes)
-    failed: set[tuple] = set()
-    placements: list[tuple[float, float]] = []
 
-    def sweep(prefix: int, left: tuple[int, ...]) -> bool:
-        if prefix == 0:
-            return True
-        key = (prefix, left)
-        if key in failed:
-            return False
-        for j in range(g - 1, -1, -1):
-            if left[j] == 0:
-                continue
-            radius = spec.radii[j]
-            center, new_prefix = _move(xs, prefix, radius, point_model)
-            placements.append((center, radius))
-            spent = left[:j] + (left[j] - 1,) + left[j + 1:]
-            if sweep(new_prefix, spent):
-                return True
-            placements.pop()
-        failed.add(key)
-        return False
-
-    if not sweep(n, start):
-        return None
-    return list(placements)
+    placements = []
+    prefix, idx = n, total - 1
+    left = list(sizes)
+    while prefix:
+        j = next(j for j in range(g - 1, -1, -1) if left[j] and
+                 after[j][prefix - 1] <= cov[idx - strides[j]])
+        placements.append((centers[j][prefix - 1].item(), spec.radii[j]))
+        prefix = int(after[j][prefix - 1])
+        idx -= strides[j]
+        left[j] -= 1
+    return placements
 
 
 def ptas_burning_line(inst: Instance, model: Model | None = None,
@@ -182,8 +148,8 @@ def ptas_burning_line(inst: Instance, model: Model | None = None,
     model = model or Model(POINT)
     if inst.dimension != 1:
         raise ValueError("instance must be 1-dimensional")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:  # also rejects nan
+        raise ValueError("epsilon must be positive and finite")
     if model.k != 1:
         raise ValueError("one ignition per step only")
     if not inst.uniform_rates():

@@ -282,6 +282,17 @@ def test_cli_exit_codes(tmp_path, capsys):
         main(["frobnicate"])
     assert info.value.code == 1
     capsys.readouterr()
+    # a non-finite epsilon is bad input on every solver path
+    line = _write(tmp_path / "line.txt", "geoburn instance\ndim 1\npoint 0 0\npoint 5 0\n")
+    plane = _write(tmp_path / "plane.txt", "geoburn instance\npoint 0 0\npoint 5 1\n")
+    for inst_file in (line, plane):
+        for eps in ("nan", "inf"):
+            for model in ("point", "anywhere"):
+                assert main(["solve", inst_file, "--model", model,
+                             "--eps", eps]) == 1
+                err = capsys.readouterr().err
+                assert err.startswith("error: epsilon")
+                assert "Traceback" not in err
 
 
 def test_cli_solve_dim_mismatch(tmp_path, capsys):
@@ -337,6 +348,9 @@ def test_cli_hardness_flow(tmp_path, capsys):
 
     assert main(["hardness", "sched2assign", formula_file, sched_file]) == 0
     assert capsys.readouterr().out.strip() == "assignment 1 1 1 1 1"
+
+    assert main(["hardness", "assign2sched", formula_file, "--assign", "0,0,0,0,0"]) == 0
+    assert capsys.readouterr().out.startswith("# satisfies no")
 
     bad = _write(tmp_path / "bad.txt", "p lsat 2 2\n1 2 0\n1 2 0\n")
     assert main(["hardness", "check", bad]) == 2

@@ -118,7 +118,7 @@ def test_cover_line_matches_reference_sweep():
         xs = [round(rng.uniform(0, n / 2), rng.choice([0, 1, 3]))
               for _ in range(n)]
         xs = sorted(xs + rng.sample(xs, n // 5))
-        t = math.ceil(2.0 / rng.choice([2.0, 1.0, 0.5, 0.25]))
+        t = math.ceil(2.0 / rng.choice([2.0, 1.0, 0.5, 0.25, 0.1]))
         for point_model in (False, True):
             delta = 0
             while True:
@@ -128,6 +128,18 @@ def test_cover_line_matches_reference_sweep():
                 assert got == reference_cover_line(xs, spec, point_model)
                 if got is not None:
                     break
+
+
+def test_exact_regime_long_line_frozen():
+    # delta < t all the way to acceptance: every group is a singleton, and
+    # a backtracking sweep over 200 points blows up here
+    rng = random.Random(1)
+    inst = Instance.line([rng.uniform(0, 300) for _ in range(200)])
+    horizon, sched, trace = ptas_burning_line(inst, Model(ANYWHERE), 0.1)
+    assert trace.accepted_delta == 16
+    assert horizon == 18
+    assert len(sched.sources) == 16
+    assert validate_schedule(inst, sched).valid
 
 
 def test_rejects_then_accepts_frozen():
