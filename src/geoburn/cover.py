@@ -94,20 +94,14 @@ def candidate_centers(points: Sequence[Point], *, midpoints: bool = True,
 
 def coverage_mask(center: Point, radius: float, points: Sequence[Point]) -> int:
     """Bitmask of point indices within ``radius`` (+TOL) of ``center``."""
-    mask = 0
-    for i, p in enumerate(points):
-        if distance(center, p) <= radius + TOL:
-            mask |= 1 << i
-    return mask
+    return coverage_masks((center,), radius, points)[0]
 
 
 def coverage_masks(centers: Sequence[Point], radius: float,
                    points: Sequence[Point]) -> list[int]:
-    """coverage_mask for many centers at once, vectorized when it pays off."""
-    if len(centers) * len(points) < 20_000:
-        return [coverage_mask(c, radius, points) for c in centers]
-    C = np.array([(c.x, c.y) for c in centers])
-    P = np.array([(p.x, p.y) for p in points])
+    """coverage_mask for many centers at once, vectorized."""
+    C = np.array([(c.x, c.y) for c in centers], dtype=float).reshape(-1, 2)
+    P = np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
     d2 = ((C[:, None, 0] - P[None, :, 0]) ** 2
           + (C[:, None, 1] - P[None, :, 1]) ** 2)
     hit = d2 <= (radius + TOL) ** 2

@@ -36,6 +36,7 @@ from geoburn.core import (
     Point,
     distance,
 )
+from geoburn.oracle import DEFAULT_NODE_BUDGET, _search_steps
 
 ELEMENT_CLEARANCE = 20  # grid spacing n^2 + 20n keeps elements n^2 apart
 
@@ -382,74 +383,20 @@ def brute_force_burnable(layout: ReductionLayout,
                          horizon: int | None = None) -> BurnSchedule | None:
     """Exhaustively seek a schedule burning everything from literal points.
 
-    Searches ignition orders of the literal points over steps 1..T
-    (default T = 2n) with deadline pruning and forced-move propagation:
-    when an unburnt point is reachable by exactly one unused source and
-    only at the current step, that ignition is mandatory.  Returns a
-    schedule or None.  Guarded to at most four variables.
+    Runs the oracle's step search over steps 1..T (default T = 2n) with
+    ignitions restricted to the literal points.  Returns a schedule or
+    None.  Guarded to at most four variables; the search carries the
+    oracle's default node budget and raises CapacityError when it runs
+    out.
     """
     n = layout.n
     if n > 4:
         raise ValueError("exhaustive search supports at most four variables")
     T = 2 * n if horizon is None else int(horizon)
-    pts = layout.points
-    npts = len(pts)
-    lits = list(layout.sources)
-    L = len(lits)
-    full = (1 << npts) - 1
-
-    step_mask = [[0] * (T + 1) for _ in range(L)]
-    latest = [[0] * npts for _ in range(L)]
-    for a, zi in enumerate(lits):
-        for p in range(npts):
-            d = distance(pts[zi], pts[p])
-            latest[a][p] = int(math.floor(T - d + TOL))
-            for s in range(1, min(T, latest[a][p]) + 1):
-                step_mask[a][s] |= 1 << p
-
-    picked: list[tuple[int, int]] = []
-    failed: set[tuple[int, int]] = set()
-
-    def dfs(step: int, used: int, covered: int) -> bool:
-        if covered == full:
-            return True
-        if step > T:
-            return False
-        key = (used, covered)
-        if key in failed:
-            return False
-        forced = -1
-        mm = full & ~covered
-        while mm:
-            p = (mm & -mm).bit_length() - 1
-            mm &= mm - 1
-            alive = [a for a in range(L)
-                     if not used >> a & 1 and latest[a][p] >= step]
-            if not alive:
-                failed.add(key)
-                return False
-            if len(alive) == 1 and latest[alive[0]][p] == step:
-                if forced not in (-1, alive[0]):
-                    failed.add(key)
-                    return False
-                forced = alive[0]
-        if forced >= 0:
-            order = [forced]
-        else:
-            order = sorted((a for a in range(L) if not used >> a & 1),
-                           key=lambda a: -(step_mask[a][step] & ~covered).bit_count())
-        for a in order:
-            picked.append((a, step))
-            if dfs(step + 1, used | (1 << a), covered | step_mask[a][step]):
-                return True
-            picked.pop()
-        failed.add(key)
-        return False
-
-    if not dfs(1, 0, 0):
-        return None
-    srcs = tuple(BurnSource(pts[lits[a]], s, 1.0) for a, s in picked)
-    return BurnSchedule(Model(POINT), T, srcs)
+    inst = Instance(points=layout.points, sources=layout.sources)
+    _got, sched = _search_steps(inst, Model(POINT), T, [DEFAULT_NODE_BUDGET],
+                                layout.sources, len(layout.points) - 1)
+    return sched
 
 
 def random_lsat(rng, n: int) -> LsatFormula:

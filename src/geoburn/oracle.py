@@ -1,29 +1,34 @@
 """Exact solvers used as ground truth by tests and the strict pipelines.
 
-Exhaustive but heavily pruned searches: minimum-horizon burning schedules,
-minimum equal-disk covers, minimum dominating sets, and the best
-achievable burn count for designated sources.  All searches carry a node
-budget and raise CapacityError when it runs out, so callers never hang.
+Two exhaustive but heavily pruned kernels answer every exact question.
+The step search assigns ignitions over steps 1..T and returns the most
+points some schedule burns: minimum-horizon burning schedules, the best
+burn count for designated sources (max-burn), and the LSAT gadget's
+brute force all call it.  The cover search finds a minimum set cover over
+bitmasks: minimum equal-disk covers and minimum dominating sets call it.
+Both carry a node budget and raise CapacityError when it runs out, so
+callers never hang.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Sequence
 
 from geoburn.core import (
     ANYWHERE,
     POINT,
-    TOL,
     BurnSchedule,
     BurnSource,
     Instance,
     Model,
     Point,
-    distance,
 )
-from geoburn.cover import candidate_centers, coverage_mask, coverage_masks
+from geoburn.cover import (
+    candidate_centers,
+    coverage_mask,  # noqa: F401  (the benchmark's traced run wraps this name)
+    coverage_masks,
+)
 
 DEFAULT_NODE_BUDGET = 2_000_000
 
@@ -42,7 +47,7 @@ def exact_burning_number(inst: Instance, model: Model | None = None, *,
                          ) -> tuple[int, BurnSchedule]:
     """Smallest horizon T admitting a valid schedule, with a witness.
 
-    Horizons are tried in increasing order; for each, a depth-first search
+    Horizons are tried in increasing order; for each, the step search
     assigns ignitions step by step (largest fire radii first), pruning on
     repeated states, unreachable points, and gain-free ignitions.  The
     anywhere model requires uniform rates (a fire off the input points has
@@ -58,58 +63,68 @@ def exact_burning_number(inst: Instance, model: Model | None = None, *,
         max_steps = max(1, math.ceil(n / model.k))
     budget = [node_budget]
     for horizon in range(1, max_steps + 1):
-        sched = _search_horizon(inst, model, horizon, budget)
-        if sched is not None:
+        got, sched = _search_steps(inst, model, horizon, budget, range(n), n - 1)
+        if got == n:
             return horizon, sched
     raise InfeasibleError(f"no valid schedule within {max_steps} steps")
 
 
-def _search_horizon(inst: Instance, model: Model, T: int,
-                    budget: list[int]) -> BurnSchedule | None:
+def _search_steps(inst: Instance, model: Model, T: int, budget: list[int],
+                  sources: Sequence[int], floor: int
+                  ) -> tuple[int, BurnSchedule | None]:
+    """The step kernel: most points a schedule over steps 1..T burns.
+
+    Point-model fires may ignite only at the indices in ``sources``.
+    Returns the best count above ``floor`` with a schedule reaching it,
+    or (floor, None) when no schedule beats the floor; the search stops
+    as soon as every point burns.  A node fails when its cover plus
+    everything the remaining ignitions could reach at the node's step (the
+    largest radii left) burns no more than the best count so far; failed
+    states are memoized, which is sound because the best count only grows.
+    """
     n = inst.n
     pts = inst.points
-    full = (1 << n) - 1
     point_model = model.tag == POINT
 
     if point_model:
         # cover[i][s]: points inside the final fire disk of point i ignited
-        # at step s
+        # at step s, from one mask call per step and rate
         cover = [[0] * (T + 1) for _ in range(n)]
-        for i in range(n):
+        for rate in {inst.rates[i] for i in sources}:
+            group = [i for i in sources if inst.rates[i] == rate]
+            centers = [pts[i] for i in group]
             for s in range(1, T + 1):
-                cover[i][s] = coverage_mask(pts[i], inst.rates[i] * (T - s), pts)
-
-        def masks_at(s: int) -> list[tuple[int, int]]:
-            return [(i, cover[i][s]) for i in range(n)]
+                for i, m in zip(group, coverage_masks(centers, rate * (T - s), pts)):
+                    cover[i][s] = m
     else:
         rate = inst.rates[0] if inst.rates else 1.0
-        if inst.dimension == 1:
-            # canonical form: slide each fire right until its right edge
-            # sits on an input point, which keeps everything it covered
-            step_masks: dict[int, list[tuple[Point, int]]] = {}
+        # on a line the canonical form slides each fire right until its
+        # right edge sits on an input point, which keeps everything it
+        # covered; in the plane the candidate centers suffice
+        base = candidate_centers(pts) if inst.dimension == 2 else None
+        step_masks: dict[int, list[tuple[Point, int]]] = {}
 
-            def cands_at(s: int) -> list[tuple[Point, int]]:
-                if s not in step_masks:
-                    rho = rate * (T - s)
-                    cs = [Point(p.x - rho, 0.0) for p in pts]
-                    step_masks[s] = [(c, coverage_mask(c, rho, pts)) for c in cs]
-                return step_masks[s]
-        else:
-            base = candidate_centers(pts)
-            step_masks = {}
+    def entries_at(s: int, used: int) -> list[tuple[object, int]]:
+        if point_model:
+            return [(i, cover[i][s]) for i in sources if not used >> i & 1]
+        if s not in step_masks:
+            rho = rate * (T - s)
+            cs = base if base is not None else [Point(p.x - rho, 0.0) for p in pts]
+            step_masks[s] = list(zip(cs, coverage_masks(cs, rho, pts)))
+        return step_masks[s]
 
-            def cands_at(s: int) -> list[tuple[Point, int]]:
-                if s not in step_masks:
-                    rho = rate * (T - s)
-                    step_masks[s] = [(c, coverage_mask(c, rho, pts)) for c in base]
-                return step_masks[s]
-
+    best = floor
+    witness: list[tuple[object, int]] | None = None
     failed: set[tuple] = set()
     picked: list[tuple[object, int]] = []
 
     def step(s: int, covered: int, used: int) -> bool:
-        if covered == full:
-            return True
+        nonlocal best, witness
+        got = covered.bit_count()
+        if got > best:
+            best, witness = got, list(picked)
+            if got == n:
+                return True
         if s > T:
             return False
         key = (s, covered, used)
@@ -118,14 +133,11 @@ def _search_horizon(inst: Instance, model: Model, T: int,
         budget[0] -= 1
         if budget[0] < 0:
             raise CapacityError("burning search node budget exhausted")
-        if point_model:
-            entries = [(i, cover[i][s]) for i in range(n) if not used >> i & 1]
-        else:
-            entries = cands_at(s)
+        entries = entries_at(s, used)
         reach = 0
         for _, m in entries:
             reach |= m
-        if full & ~covered & ~reach:
+        if (covered | reach).bit_count() <= best:
             failed.add(key)
             return False
         order = sorted(range(len(entries)),
@@ -153,40 +165,30 @@ def _search_horizon(inst: Instance, model: Model, T: int,
             picked.pop()
         return step(s + 1, covered, used)
 
-    if not step(1, 0, 0):
-        return None
+    step(1, 0, 0)
+    if witness is None:
+        return best, None
     if point_model:
-        sources = tuple(BurnSource(pts[i], s, inst.rates[i]) for i, s in picked)
+        srcs = tuple(BurnSource(pts[i], s, inst.rates[i]) for i, s in witness)
     else:
-        rate = inst.rates[0] if inst.rates else 1.0
-        sources = tuple(BurnSource(c, s, rate) for c, s in picked)
-    return BurnSchedule(model, T, sources)
+        srcs = tuple(BurnSource(c, s, rate) for c, s in witness)
+    return best, BurnSchedule(model, T, srcs)
 
 
-def exact_disk_cover(points: Sequence[Point], radius: float, *,
-                     max_size: int | None = None,
-                     candidates: Sequence[Point] | None = None,
-                     node_budget: int = DEFAULT_NODE_BUDGET
-                     ) -> list[Point] | None:
-    """Minimum cover of points by equal disks at candidate centers.
+def _min_cover(masks: Sequence[int], n: int, max_size: int | None,
+               node_budget: int) -> list[int] | None:
+    """The cover kernel: indices of a minimum set of masks covering n points.
 
-    Iterative deepening over the cover size with branch and bound: always
-    branch on the uncovered point with the fewest usable disks.  Candidate
-    centers default to the complete family for free placement; pass the
-    input points themselves to restrict placement to them.  Returns None
-    when no cover of size <= max_size exists.
+    Masks with equal bits collapse to the first index.  Iterative
+    deepening over the cover size with branch and bound: always branch on
+    the uncovered point with the fewest usable masks.  Returns None when
+    no cover of size <= max_size exists.
     """
-    pts = list(points)
-    n = len(pts)
-    if n == 0:
-        return []
-    cands = list(candidates) if candidates is not None else candidate_centers(pts)
     by_mask: dict[int, int] = {}
-    for idx, m in enumerate(coverage_masks(cands, radius, pts)):
+    for idx, m in enumerate(masks):
         if m and m not in by_mask:
             by_mask[m] = idx
     entries = sorted(((i, m) for m, i in by_mask.items()))
-    full = (1 << n) - 1
     budget = [node_budget]
 
     def search(uncovered: int, size_left: int, chosen: list[int]) -> list[int] | None:
@@ -196,7 +198,7 @@ def exact_disk_cover(points: Sequence[Point], radius: float, *,
             return None
         budget[0] -= 1
         if budget[0] < 0:
-            raise CapacityError("disk cover node budget exhausted")
+            raise CapacityError("cover search node budget exhausted")
         best_gain = max((m & uncovered).bit_count() for _, m in entries)
         if best_gain == 0 or -(-uncovered.bit_count() // best_gain) > size_left:
             return None
@@ -215,43 +217,50 @@ def exact_disk_cover(points: Sequence[Point], radius: float, *,
                 return got
         return None
 
+    if n == 0:
+        return []
     upper = n if max_size is None else min(max_size, n)
     for size in range(1, upper + 1):
-        sel = search(full, size, [])
+        sel = search((1 << n) - 1, size, [])
         if sel is not None:
-            return [cands[i] for i in sel]
+            return sel
     return None
+
+
+def exact_disk_cover(points: Sequence[Point], radius: float, *,
+                     max_size: int | None = None,
+                     candidates: Sequence[Point] | None = None,
+                     node_budget: int = DEFAULT_NODE_BUDGET
+                     ) -> list[Point] | None:
+    """Minimum cover of points by equal disks at candidate centers.
+
+    The cover search over the candidates' coverage masks.  Candidate
+    centers default to the complete family for free placement; pass the
+    input points themselves to restrict placement to them.  Returns None
+    when no cover of size <= max_size exists.
+    """
+    pts = list(points)
+    cands = list(candidates) if candidates is not None else candidate_centers(pts)
+    sel = _min_cover(coverage_masks(cands, radius, pts), len(pts), max_size,
+                     node_budget)
+    return None if sel is None else [cands[i] for i in sel]
 
 
 def exact_dominating_set(neighbors: Sequence[set[int]], *,
                          max_size: int | None = None,
                          node_budget: int = DEFAULT_NODE_BUDGET
                          ) -> list[int] | None:
-    """Minimum dominating set by increasing size, lexicographic within size.
+    """A minimum dominating set, ascending.
 
-    Returns None when no dominating set of size <= max_size exists.
+    The cover search over closed neighbourhoods.  Returns None when no
+    dominating set of size <= max_size exists.
     """
-    n = len(neighbors)
-    if n == 0:
-        return []
-    closed = [1 << v for v in range(n)]
+    closed = [1 << v for v in range(len(neighbors))]
     for v, nb in enumerate(neighbors):
         for u in nb:
             closed[v] |= 1 << u
-    full = (1 << n) - 1
-    budget = node_budget
-    upper = n if max_size is None else min(max_size, n)
-    for size in range(1, upper + 1):
-        for combo in itertools.combinations(range(n), size):
-            budget -= 1
-            if budget < 0:
-                raise CapacityError("dominating set node budget exhausted")
-            got = 0
-            for v in combo:
-                got |= closed[v]
-            if got == full:
-                return list(combo)
-    return None
+    sel = _min_cover(closed, len(neighbors), max_size, node_budget)
+    return None if sel is None else sorted(sel)
 
 
 def exact_max_burn(inst: Instance, q: int, *,
@@ -259,29 +268,12 @@ def exact_max_burn(inst: Instance, q: int, *,
     """Most points burnable in q steps igniting designated sources only.
 
     One ignition per step, so a used source ignited at step s burns points
-    within (q - s) times its rate.  Exhausts every injective assignment of
-    the radius multipliers {0..q-1} to sources and returns the best count.
+    within (q - s) times its rate.  The step search over steps 1..q,
+    restricted to the designated sources, returns the best count.
     """
     if inst.sources is None:
         raise ValueError("instance designates no sources")
     if q < 0:
         raise ValueError("step count must be non-negative")
-    srcs = list(inst.sources)
-    masks: dict[tuple[int, int], int] = {}
-    for si in srcs:
-        for rho in range(q):
-            masks[(si, rho)] = coverage_mask(
-                inst.points[si], rho * inst.rates[si], inst.points)
-    best = 0
-    budget = node_budget
-    for t in range(min(q, len(srcs)) + 1):
-        for mults in itertools.combinations(range(q), t):
-            for perm in itertools.permutations(srcs, t):
-                budget -= 1
-                if budget < 0:
-                    raise CapacityError("max-burn enumeration budget exhausted")
-                got = 0
-                for rho, si in zip(mults, perm):
-                    got |= masks[(si, rho)]
-                best = max(best, got.bit_count())
-    return best
+    got, _ = _search_steps(inst, Model(POINT), q, [node_budget], inst.sources, 0)
+    return got

@@ -1,10 +1,20 @@
 """Gadget construction, separation properties, step pairing, tiny-scale iff."""
 
+import math
 import random
 
 import pytest
 
-from geoburn.core import BurnSchedule, BurnSource, Model, POINT, Point, validate_schedule
+from geoburn.core import (
+    POINT,
+    TOL,
+    BurnSchedule,
+    BurnSource,
+    Model,
+    Point,
+    distance,
+    validate_schedule,
+)
 from geoburn.hardness import (
     LsatFormula,
     PairingError,
@@ -26,6 +36,51 @@ WORKED_PAIR = LsatFormula(5, ((1, 2, 3), (3, 4, 5)))
 def satisfies(formula, assignment):
     return all(any((lit > 0) == assignment[abs(lit) - 1] for lit in clause)
                for clause in formula.clauses)
+
+
+def reference_brute_force(layout, horizon=None):
+    # the dedicated depth-first search with deadline pruning and forced
+    # moves that the oracle's step search replaced
+    T = 2 * layout.n if horizon is None else horizon
+    pts, lits = layout.points, list(layout.sources)
+    full = (1 << len(pts)) - 1
+    latest = [[math.floor(T - distance(pts[z], p) + TOL) for p in pts] for z in lits]
+    step_mask = [[sum(1 << p for p in range(len(pts)) if s <= row[p])
+                  for s in range(T + 1)] for row in latest]
+    picked, failed = [], set()
+
+    def dfs(step, used, covered):
+        if covered == full:
+            return True
+        if step > T or (used, covered) in failed:
+            return False
+        forced = -1
+        for p in range(len(pts)):
+            if covered >> p & 1:
+                continue
+            alive = [a for a in range(len(lits))
+                     if not used >> a & 1 and latest[a][p] >= step]
+            if not alive or (len(alive) == 1 and latest[alive[0]][p] == step
+                             and forced not in (-1, alive[0])):
+                failed.add((used, covered))
+                return False
+            if len(alive) == 1 and latest[alive[0]][p] == step:
+                forced = alive[0]
+        order = [forced] if forced >= 0 else sorted(
+            (a for a in range(len(lits)) if not used >> a & 1),
+            key=lambda a: -(step_mask[a][step] & ~covered).bit_count())
+        for a in order:
+            picked.append((a, step))
+            if dfs(step + 1, used | 1 << a, covered | step_mask[a][step]):
+                return True
+            picked.pop()
+        failed.add((used, covered))
+        return False
+
+    if not dfs(1, 0, 0):
+        return None
+    return BurnSchedule(Model(POINT), T, tuple(
+        BurnSource(pts[lits[a]], s, 1.0) for a, s in picked))
 
 
 def test_validate_accepts_worked_pair():
@@ -194,6 +249,19 @@ def test_burnable_iff_satisfiable_small():
             assert validate_schedule(inst, sched).valid
             extracted = schedule_to_assignment(lay, sched)
             assert satisfies(formula, extracted)
+
+
+def test_brute_force_matches_reference_search():
+    rng = random.Random(20813)
+    for trial in range(30):
+        formula = random_lsat(rng, rng.choice([2, 3, 4]))
+        inst, lay = build_reduction(formula)
+        for horizon in (None, 2 * lay.n - 1, 2 * lay.n + 1):
+            sched = brute_force_burnable(lay, horizon)
+            want = reference_brute_force(lay, horizon)
+            assert (sched is None) == (want is None)
+            if sched is not None:
+                assert validate_schedule(inst, sched).valid
 
 
 def test_random_lsat_is_valid_and_complete():

@@ -16,7 +16,7 @@ from geoburn.core import (
     Point,
     validate_schedule,
 )
-from geoburn.cover import disk_cover_greedy
+from geoburn.cover import coverage_mask, disk_cover_greedy, disk_graph
 from geoburn.oracle import (
     CapacityError,
     InfeasibleError,
@@ -42,6 +42,83 @@ def brute_point_burning_number(inst, k=1):
             if validate_schedule(inst, sched).valid:
                 return T
     return None
+
+
+def reference_point_witness(inst, k):
+    # the point model of the dedicated per-horizon burning search that the
+    # step kernel replaced, kept to pin the kernel's witnesses
+    n, pts = inst.n, inst.points
+    full = (1 << n) - 1
+    for T in range(1, n + 1):
+        cover = [[0] + [coverage_mask(pts[i], inst.rates[i] * (T - s), pts)
+                        for s in range(1, T + 1)] for i in range(n)]
+        failed, picked = set(), []
+
+        def step(s, covered, used):
+            if covered == full:
+                return True
+            if s > T or (s, covered, used) in failed:
+                return False
+            entries = [(i, cover[i][s]) for i in range(n) if not used >> i & 1]
+            reach = 0
+            for _, m in entries:
+                reach |= m
+            if full & ~covered & ~reach:
+                failed.add((s, covered, used))
+                return False
+            order = sorted(range(len(entries)),
+                           key=lambda j: -(entries[j][1] & ~covered).bit_count())
+            if pick(s, entries, order, 0, k, covered, used):
+                return True
+            failed.add((s, covered, used))
+            return False
+
+        def pick(s, entries, order, pos, slots, covered, used):
+            if slots == 0 or pos == len(order):
+                return step(s + 1, covered, used)
+            for oi in range(pos, len(order)):
+                i, mask = entries[order[oi]]
+                if not mask & ~covered:
+                    if slots == k:
+                        break
+                    continue
+                picked.append((i, s))
+                if pick(s, entries, order, oi + 1, slots - 1, covered | mask,
+                        used | 1 << i):
+                    return True
+                picked.pop()
+            return step(s + 1, covered, used)
+
+        if step(1, 0, 0):
+            return T, BurnSchedule(Model(POINT, k), T, tuple(
+                BurnSource(pts[i], s, inst.rates[i]) for i, s in picked))
+    return None
+
+
+def reference_max_burn(inst, q):
+    # the enumeration of every injective assignment of radius multipliers
+    # to sources that the step kernel replaced
+    srcs = list(inst.sources)
+    best = 0
+    for t in range(min(q, len(srcs)) + 1):
+        for mults in itertools.combinations(range(q), t):
+            for perm in itertools.permutations(srcs, t):
+                got = 0
+                for rho, si in zip(mults, perm):
+                    got |= coverage_mask(inst.points[si], rho * inst.rates[si],
+                                         inst.points)
+                best = max(best, got.bit_count())
+    return best
+
+
+def reference_dominating_set(neighbors):
+    # the enumeration by increasing size that the cover kernel replaced
+    n = len(neighbors)
+    for size in range(n + 1):
+        for combo in itertools.combinations(range(n), size):
+            got = set(combo).union(*(neighbors[v] for v in combo))
+            if len(got) == n:
+                return list(combo)
 
 
 def test_burning_number_frozen_cases():
@@ -79,23 +156,26 @@ def test_burning_number_matches_enumeration():
         inst = Instance.line(sorted(rng.uniform(0, 9) for _ in range(n)))
         for k in (1, 2):
             want = brute_point_burning_number(inst, k)
-            got = exact_burning_number(inst, Model(POINT, k))[0]
-            assert got == want
+            got = exact_burning_number(inst, Model(POINT, k))
+            assert got[0] == want
+            assert got == reference_point_witness(inst, k)
     # a couple of planar ones with mixed rates
     for _ in range(4):
         n = rng.randint(2, 4)
         inst = Instance.planar(
             [(rng.uniform(0, 6), rng.uniform(0, 6)) for _ in range(n)],
             rates=tuple(rng.choice([1.0, 2.0]) for _ in range(n)))
-        assert exact_burning_number(inst, Model(POINT))[0] == \
-            brute_point_burning_number(inst, 1)
+        got = exact_burning_number(inst, Model(POINT))
+        assert got[0] == brute_point_burning_number(inst, 1)
+        assert got == reference_point_witness(inst, 1)
     # planar ones with two ignitions per step
     for _ in range(6):
         n = rng.randint(3, 5)
         inst = Instance.planar(
             [(rng.uniform(0, 4), rng.uniform(0, 4)) for _ in range(n)])
-        assert exact_burning_number(inst, Model(POINT, 2))[0] == \
-            brute_point_burning_number(inst, 2)
+        got = exact_burning_number(inst, Model(POINT, 2))
+        assert got[0] == brute_point_burning_number(inst, 2)
+        assert got == reference_point_witness(inst, 2)
 
 
 def test_burning_number_k2_steps_over_spent_entries():
@@ -190,8 +270,39 @@ def test_exact_max_burn():
     with pytest.raises(ValueError):
         exact_max_burn(Instance.line([0.0]), 2)
     big = Instance.planar([(i, 0) for i in range(5)], sources=tuple(range(5)))
+    assert exact_max_burn(big, 5) == 5  # one step-1 fire at x = 2 burns all
+    # spread-out sources make the search branch: 57 nodes against a budget of 10
+    grid = Instance.planar([(3 * i, 3 * j) for i in range(3) for j in range(3)],
+                           sources=tuple(range(9)))
     with pytest.raises(CapacityError):
-        exact_max_burn(big, 5, node_budget=10)
+        exact_max_burn(grid, 3, node_budget=10)
+
+
+def test_dominating_set_matches_enumeration():
+    rng = random.Random(303)
+    for _ in range(150):
+        n = rng.randint(1, 12)
+        side = rng.uniform(3, 15)
+        pts = [Point(rng.uniform(0, side), rng.uniform(0, side)) for _ in range(n)]
+        nbrs = disk_graph(pts, [rng.uniform(0.3, 2.5) for _ in range(n)])
+        dom = exact_dominating_set(nbrs)
+        assert len(dom) == len(reference_dominating_set(nbrs))
+        assert dom == sorted(set(dom))
+        assert set(dom).union(*(nbrs[v] for v in dom)) == set(range(n))
+        assert exact_dominating_set(nbrs, max_size=len(dom) - 1) is None
+
+
+def test_max_burn_matches_enumeration():
+    rng = random.Random(404)
+    for _ in range(200):
+        n = rng.randint(2, 9)
+        side = rng.uniform(2, 12)
+        inst = Instance.planar(
+            [(rng.uniform(0, side), rng.uniform(0, side)) for _ in range(n)],
+            rates=tuple(rng.choice([1.0, 1.5, 2.0]) for _ in range(n)),
+            sources=tuple(sorted(rng.sample(range(n), rng.randint(0, n)))))
+        q = rng.randint(0, 4)
+        assert exact_max_burn(inst, q) == reference_max_burn(inst, q)
 
 
 def test_exact_max_burn_respects_rates():
