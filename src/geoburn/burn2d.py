@@ -39,6 +39,8 @@ from geoburn.core import (
     Instance,
     Model,
     Point,
+    burns,
+    check_epsilon,
     distance,
 )
 from geoburn.cover import (
@@ -72,30 +74,22 @@ def _ifloor(x: float) -> int:
 
 
 def _check(inst: Instance, epsilon: float, uniform: bool) -> None:
-    if not 0 < epsilon < math.inf:  # also rejects nan
-        raise ValueError("epsilon must be positive and finite")
+    check_epsilon(epsilon)
     if uniform and not inst.uniform_rates():
         raise ValueError("uniform rates required")
 
 
-def _guess_cover(pts, epsilon, strict, candidates, trace):
-    # shared guess loop: smallest delta whose radius-delta cover fits
-    # within delta * (1 + epsilon) disks
-    delta = 0
-    while True:
-        delta += 1
+def _accepted_cover(trace, pts, epsilon, strict, candidates):
+    # the planar guesses: a radius-delta cover within delta * (1 + epsilon) disks
+    def attempt(delta):
         threshold = delta * (1.0 + epsilon)
         if strict:
-            got = exact_disk_cover(pts, float(delta),
-                                   max_size=_ifloor(threshold),
-                                   candidates=candidates)
-            measure = math.inf if got is None else float(len(got))
-        else:
-            got = disk_cover_approx(pts, float(delta), epsilon,
-                                    candidates=candidates)
-            measure = float(len(got))
-        if trace.log(delta, measure, threshold):
-            return delta, sorted(got)
+            return exact_disk_cover(pts, float(delta), max_size=_ifloor(threshold),
+                                    candidates=candidates), threshold
+        return disk_cover_approx(pts, float(delta), candidates, epsilon), threshold
+
+    delta, cover = trace.search(attempt)
+    return delta, sorted(cover)
 
 
 def anywhere_burning(inst: Instance, epsilon: float = 1.0, *,
@@ -123,7 +117,7 @@ def anywhere_burning(inst: Instance, epsilon: float = 1.0, *,
         n = len(pts)
         cands = candidate_centers(pts, midpoints=n <= 150,
                                   circumcenters=n <= 40)
-    delta, centers = _guess_cover(pts, epsilon, strict_oracle, cands, trace)
+    delta, centers = _accepted_cover(trace, pts, epsilon, strict_oracle, cands)
 
     m = len(centers)
     n1 = _iceil(PHASE1_FRACTION * m)
@@ -160,7 +154,7 @@ def point_burning(inst: Instance, epsilon: float = 1.0, *,
         return 0, BurnSchedule(model, 0, ()), trace
     rate = inst.rates[0]
     pts = [Point(p.x / rate, p.y / rate) for p in inst.points]
-    delta, centers = _guess_cover(pts, epsilon, strict_oracle, pts, trace)
+    delta, centers = _accepted_cover(trace, pts, epsilon, strict_oracle, pts)
 
     m = len(centers)
     extra = _iceil(ANNULUS_INNER_FRACTION * delta * (1.0 + epsilon))
@@ -172,9 +166,9 @@ def point_burning(inst: Instance, epsilon: float = 1.0, *,
 
     burned: set[int] = set()
     for step, c in enumerate(centers, start=1):
-        reach = float(horizon - step)
+        fire = BurnSource(c, step)  # in the rescaled frame, rate 1
         for i, p in enumerate(pts):
-            if distance(p, c) <= reach + TOL:
+            if burns(fire, p, horizon):
                 burned.add(i)
 
     # fires younger than delta leave an outer annulus: patch each occupied
@@ -218,13 +212,10 @@ def _drop_burnt_ignitions(points, horizon: int,
     kept: list[BurnSource] = []
     for s in sources:
         burnt_by = [e for e in kept if e.step < s.step
-                    and distance(s.center, e.center)
-                    <= e.rate * (s.step - e.step) + TOL]
+                    and burns(e, s.center, s.step)]
         if burnt_by:
-            mine = [p for p in points if distance(p, s.center)
-                    <= s.rate * (horizon - s.step) + TOL]
-            if any(all(distance(p, e.center)
-                       <= e.rate * (horizon - e.step) + TOL for p in mine)
+            mine = [p for p in points if burns(s, p, horizon)]
+            if any(all(burns(e, p, horizon) for p in mine)
                    for e in burnt_by):
                 continue
         kept.append(s)
@@ -252,20 +243,15 @@ def k_burning_nonuniform(inst: Instance, k: int = 1, epsilon: float = 1.0, *,
         return 0, BurnSchedule(model, 0, ()), trace
     pts = inst.points
 
-    delta = 0
-    while True:
-        delta += 1
+    def attempt(delta):
         radii = [(delta - 1) / 2.0 * r for r in inst.rates]
         nbrs = disk_graph(pts, radii)
         threshold = k * delta * (1.0 + epsilon)
         if strict_oracle:
-            dom = exact_dominating_set(nbrs, max_size=_ifloor(threshold))
-            measure = math.inf if dom is None else float(len(dom))
-        else:
-            dom = dominating_set_greedy(nbrs)
-            measure = float(len(dom))
-        if trace.log(delta, measure, threshold):
-            break
+            return exact_dominating_set(nbrs, max_size=_ifloor(threshold)), threshold
+        return dominating_set_greedy(nbrs), threshold
+
+    delta, dom = trace.search(attempt)
 
     order = sorted(dom, key=lambda i: pts[i])
     ignite_steps = -(-len(order) // k)
@@ -274,9 +260,9 @@ def k_burning_nonuniform(inst: Instance, k: int = 1, epsilon: float = 1.0, *,
                for j, i in enumerate(order)]
     # a dominator e of p satisfies d(p, e) <= (delta-1)(r_e + r_p)/2, and
     # its fire gets at least h (delta - 1) steps: r_e h >= (r_e + r_p)/2
-    for i, p in enumerate(pts):
-        assert any(distance(p, s.center) <= s.rate * (horizon - s.step) + TOL
-                   for s in sources), "dominating fire fails to reach a point"
+    for p in pts:
+        assert any(burns(s, p, horizon) for s in sources), \
+            "dominating fire fails to reach a point"
     sources = _drop_burnt_ignitions(pts, horizon, sources)
     return horizon, BurnSchedule(model, horizon, tuple(sources)), trace
 

@@ -14,18 +14,19 @@ Two placement models:
 ``validate_schedule`` is the arbiter used as a post-condition by all
 approximation pipelines and as ground truth for the exact solvers.  Igniting
 an already-burnt point in the point model is reported as a *warning*
-(``ignite-burnt-point``) rather than a fatal violation: the covering-style
-pipelines may emit such schedules.  Under uniform rates the later source's
-fire adds nothing: the triangle inequality puts its final disk inside the
-final disk of the earlier fire that reached it (up to ``TOL``).  Under
-different rates it need not, since a fast source ignited inside a slow fire
-can reach beyond it.
+(``ignite-burnt-point``) rather than a fatal violation.  ``point_burning``
+and ``k_burning_nonuniform`` drop every such ignition except where the drop
+would lose a point: under different rates a fast source ignited inside a
+slow fire can reach beyond it, and is then kept.  Under uniform rates the
+triangle inequality puts the later fire's final disk inside the earlier
+one's (up to ``TOL``), so nearly every such ignition goes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Sized
 
 TOL = 1e-9  # additive tolerance for every containment / coincidence check
 
@@ -159,12 +160,24 @@ def burn_radius(source: BurnSource, total_steps: int) -> float:
     return source.rate * (total_steps - source.step)
 
 
+def burns(source: BurnSource, p: Point, step: int) -> bool:
+    """The one burn test: ``source``'s fire disk at the end of ``step`` holds ``p``."""
+    c = source.center  # distance(p, c), inlined: validation runs this per pair
+    return math.hypot(p.x - c.x, p.y - c.y) <= burn_radius(source, step) + TOL
+
+
 def is_burned(p: Point, schedule: BurnSchedule) -> bool:
     """Whether ``p`` lies in some source's final fire disk (closed, +TOL)."""
     for s in schedule.sources:
-        if distance(p, s.center) <= burn_radius(s, schedule.total_steps) + TOL:
+        if burns(s, p, schedule.total_steps):
             return True
     return False
+
+
+def check_epsilon(epsilon: float) -> None:
+    """Reject an epsilon that is not positive, or whose 2 / epsilon is not finite."""
+    if not 0 < epsilon < math.inf or not math.isfinite(2.0 / epsilon):
+        raise ValueError(f"epsilon must be positive with 2 / epsilon finite, got {epsilon!r}")
 
 
 @dataclass(frozen=True)
@@ -185,15 +198,27 @@ class GuessEntry:
 
 @dataclass
 class GuessTrace:
-    """Full record of a solver run: every guess plus the constants used."""
+    """A solver run's guesses, logged by the one guess loop ``search``, and constants."""
 
     entries: list[GuessEntry] = field(default_factory=list)
     constants: dict[str, float] = field(default_factory=dict)
 
-    def log(self, delta: int, measure: float, threshold: float) -> bool:
-        accepted = measure <= threshold + TOL
-        self.entries.append(GuessEntry(delta, measure, threshold, accepted))
-        return accepted
+    def search(self, attempt: Callable[[int], tuple[Sized | None, float]]
+               ) -> tuple[int, Sized]:
+        """Log delta = 1, 2, ... and return the first accepted one with its result.
+
+        ``attempt(delta)`` returns the guess's result (None when it has
+        none) and threshold; the measure is its size, infinity for None.
+        """
+        delta = 0
+        while True:
+            delta += 1
+            result, threshold = attempt(delta)
+            measure = math.inf if result is None else float(len(result))
+            accepted = measure <= threshold + TOL
+            self.entries.append(GuessEntry(delta, measure, threshold, accepted))
+            if accepted:
+                return delta, result
 
     @property
     def accepted_delta(self) -> int:
@@ -307,8 +332,7 @@ def validate_schedule(inst: Instance, sched: BurnSchedule) -> ValidationReport:
             for earlier in ordered[:i]:
                 if earlier.step >= s.step:
                     continue
-                reach = earlier.rate * (s.step - earlier.step)
-                if distance(s.center, earlier.center) <= reach + TOL:
+                if burns(earlier, s.center, s.step):
                     report.warnings.append(Violation(
                         "ignite-burnt-point",
                         f"source at ({s.center.x}, {s.center.y}) step {s.step} "

@@ -56,25 +56,24 @@ def circumcenter(a: Point, b: Point, c: Point) -> Point | None:
 
 
 def candidate_centers(points: Sequence[Point], *, midpoints: bool = True,
-                      circumcenters: bool = True,
-                      dedup_tol: float = TOL) -> list[Point]:
+                      circumcenters: bool = True) -> list[Point]:
     """Centers sufficient for minimum covers by equal disks.
 
     Any disk covering a subset Q can be recentered at the center of the
     smallest enclosing circle of Q without uncovering anything, and that
     center is an input point, a pair midpoint, or a circumcenter of a
     non-collinear triple.  Order: points, then midpoints, then
-    circumcenters; near-duplicates collapse to the first seen.
+    circumcenters; near-duplicates (within TOL) collapse to the first seen.
     """
     out: list[Point] = []
     buckets: dict[tuple[int, int], list[int]] = {}
 
     def push(p: Point) -> None:
-        kx, ky = round(p.x / dedup_tol), round(p.y / dedup_tol)
+        kx, ky = round(p.x / TOL), round(p.y / TOL)
         for nx in (kx - 1, kx, kx + 1):
             for ny in (ky - 1, ky, ky + 1):
                 for i in buckets.get((nx, ny), ()):
-                    if distance(out[i], p) <= dedup_tol:
+                    if distance(out[i], p) <= TOL:
                         return
         buckets.setdefault((kx, ky), []).append(len(out))
         out.append(p)
@@ -110,7 +109,7 @@ def coverage_masks(centers: Sequence[Point], radius: float,
 
 
 def disk_cover_greedy(points: Sequence[Point], radius: float,
-                      candidates: Sequence[Point] | None = None,
+                      candidates: Sequence[Point],
                       cand_masks: Sequence[int] | None = None) -> list[Point]:
     """Greedy cover of ``points`` by equal disks at candidate centers.
 
@@ -119,10 +118,6 @@ def disk_cover_greedy(points: Sequence[Point], radius: float,
     coverage masks, computed here when not given.  Raises ValueError if
     the candidates cannot cover some point.
     """
-    if candidates is None:
-        n = len(points)
-        candidates = candidate_centers(points, midpoints=n <= 150,
-                                       circumcenters=n <= 40)
     if cand_masks is None:
         cand_masks = coverage_masks(candidates, radius, points)
     full = (1 << len(points)) - 1
@@ -155,9 +150,9 @@ def disk_cover_local_search(points: Sequence[Point], radius: float,
     Candidates are grouped by equal coverage mask once per call, and the
     union of the kept disks comes from a table of ORs over index ranges
     of the current cover.  ``cand_masks`` are the candidates' coverage
-    masks, computed here when not given; a chosen disk that is one of
-    the candidate objects takes its mask from them.  Effort is capped:
-    oversized inputs are returned unchanged.
+    masks, computed here when not given; the chosen disks' masks come from
+    one ``coverage_masks`` call.  Effort is capped: oversized inputs are
+    returned unchanged.
     """
     if swap_budget < 2 or len(chosen) > 48 or len(candidates) > 4000:
         return list(chosen)
@@ -166,11 +161,7 @@ def disk_cover_local_search(points: Sequence[Point], radius: float,
     mg = _MaskGroups(cand_masks)
     full = (1 << len(points)) - 1
     current = list(chosen)
-    # keyed by identity: hashing every candidate Point costs more than
-    # the masks it would save, and the greedy hands back candidate objects
-    by_id = {id(c): m for c, m in zip(candidates, cand_masks)}
-    masks = [by_id[id(c)] if id(c) in by_id else coverage_mask(c, radius, points)
-             for c in current]
+    masks = coverage_masks(current, radius, points)
     improved = True
     while improved:
         improved = False
@@ -289,19 +280,16 @@ def _cover_hole(need: int, mg: _MaskGroups, size: int) -> tuple[int, ...] | None
 
 
 def disk_cover_approx(points: Sequence[Point], radius: float,
-                      epsilon: float = 1.0,
-                      candidates: Sequence[Point] | None = None) -> list[Point]:
+                      candidates: Sequence[Point],
+                      epsilon: float = 1.0) -> list[Point]:
     """Greedy cover polished by local search; swap budget min(ceil(1/eps^2), 3).
 
     The candidates' coverage masks are computed once and shared by both.
     """
-    if candidates is None:
-        n = len(points)
-        candidates = candidate_centers(points, midpoints=n <= 150,
-                                       circumcenters=n <= 40)
     cand_masks = coverage_masks(candidates, radius, points)
     chosen = disk_cover_greedy(points, radius, candidates, cand_masks)
-    budget = min(math.ceil(1.0 / (epsilon * epsilon)), 3) if epsilon > 0 else 3
+    # below eps = 0.5, where 1/eps^2 can overflow, the budget is 3
+    budget = 3 if epsilon < 0.5 else min(math.ceil(1.0 / (epsilon * epsilon)), 3)
     return disk_cover_local_search(points, radius, chosen, candidates, budget,
                                    cand_masks)
 
@@ -349,19 +337,8 @@ def disk_graph(points: Sequence[Point], radii: Sequence[float]) -> list[set[int]
     return nbrs
 
 
-def dominating_set_greedy(neighbors: Sequence[set[int]]) -> list[int]:
-    """Greedy dominating set: max newly-dominated closed neighborhood first.
-
-    Each round picks the vertex whose closed neighbourhood holds the most
-    undominated vertices, the lowest index on ties.  Closed
-    neighbourhoods are int bitmasks, built once, and the rounds run as a
-    lazy greedy over a heap keyed by (-gain, v): gains only fall as
-    vertices get dominated, so every key is an upper bound on its
-    vertex's gain.  A popped vertex whose recomputed gain equals its key
-    therefore has the largest gain, and every vertex with that gain and
-    a lower index would have been popped first; it is the pick of the
-    eager scan over all vertices, and the picks come in the same order.
-    """
+def closed_neighborhoods(neighbors: Sequence[set[int]]) -> list[int]:
+    """Each vertex's closed neighbourhood as an int bitmask."""
     bits = [1 << v for v in range(len(neighbors))]
     closed = []
     for v, nb in enumerate(neighbors):
@@ -369,6 +346,23 @@ def dominating_set_greedy(neighbors: Sequence[set[int]]) -> list[int]:
         for u in nb:
             m |= bits[u]
         closed.append(m)
+    return closed
+
+
+def dominating_set_greedy(neighbors: Sequence[set[int]]) -> list[int]:
+    """Greedy dominating set: max newly-dominated closed neighborhood first.
+
+    Each round picks the vertex whose closed neighbourhood holds the most
+    undominated vertices, the lowest index on ties.  The rounds run
+    over ``closed_neighborhoods`` as a lazy greedy over a heap keyed by
+    (-gain, v): gains only fall as
+    vertices get dominated, so every key is an upper bound on its
+    vertex's gain.  A popped vertex whose recomputed gain equals its key
+    therefore has the largest gain, and every vertex with that gain and
+    a lower index would have been popped first; it is the pick of the
+    eager scan over all vertices, and the picks come in the same order.
+    """
+    closed = closed_neighborhoods(neighbors)
     heap = [(-m.bit_count(), v) for v, m in enumerate(closed)]
     heapq.heapify(heap)
     undominated = (1 << len(neighbors)) - 1
@@ -466,6 +460,8 @@ def verify_template(centers: Sequence[tuple[float, float]], radius: float,
     rounding.  False means a corner witness escaped every disk or the
     subdivision budget ran out before certifying.
     """
+    if not 0 < resolution < math.inf:  # also rejects nan
+        raise ValueError(f"resolution must be positive and finite, got {resolution!r}")
     if not centers:
         return False
     two_pi = 2.0 * math.pi

@@ -366,6 +366,8 @@ def generate(
     instance.  ``lsat-reduction`` treats n as the formula's variable
     count (at least 2).
     """
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
     rng = random.Random(seed)
     name = f"{kind}-{seed}"
     if kind == "uniform-square":

@@ -26,6 +26,7 @@ from geoburn.core import (
 )
 from geoburn.cover import (
     candidate_centers,
+    closed_neighborhoods,
     coverage_mask,  # noqa: F401  (the benchmark's traced run wraps this name)
     coverage_masks,
 )
@@ -199,7 +200,7 @@ def _min_cover(masks: Sequence[int], n: int, max_size: int | None,
         budget[0] -= 1
         if budget[0] < 0:
             raise CapacityError("cover search node budget exhausted")
-        best_gain = max((m & uncovered).bit_count() for _, m in entries)
+        best_gain = max(((m & uncovered).bit_count() for _, m in entries), default=0)
         if best_gain == 0 or -(-uncovered.bit_count() // best_gain) > size_left:
             return None
         pivot, pivot_opts = -1, None
@@ -255,11 +256,7 @@ def exact_dominating_set(neighbors: Sequence[set[int]], *,
     The cover search over closed neighbourhoods.  Returns None when no
     dominating set of size <= max_size exists.
     """
-    closed = [1 << v for v in range(len(neighbors))]
-    for v, nb in enumerate(neighbors):
-        for u in nb:
-            closed[v] |= 1 << u
-    sel = _min_cover(closed, len(neighbors), max_size, node_budget)
+    sel = _min_cover(closed_neighborhoods(neighbors), len(neighbors), max_size, node_budget)
     return None if sel is None else sorted(sel)
 
 

@@ -37,6 +37,7 @@ from geoburn.core import (
     Instance,
     Model,
     Point,
+    check_epsilon,
 )
 
 
@@ -148,8 +149,7 @@ def ptas_burning_line(inst: Instance, model: Model | None = None,
     model = model or Model(POINT)
     if inst.dimension != 1:
         raise ValueError("instance must be 1-dimensional")
-    if not 0 < epsilon < math.inf:  # also rejects nan
-        raise ValueError("epsilon must be positive and finite")
+    check_epsilon(epsilon)
     if model.k != 1:
         raise ValueError("one ignition per step only")
     if not inst.uniform_rates():
@@ -163,15 +163,8 @@ def ptas_burning_line(inst: Instance, model: Model | None = None,
 
     rate = inst.rates[0]
     xs = sorted(p.x / rate for p in inst.points)
-    delta = 0
-    while True:
-        delta += 1
-        spec = build_groups(delta, t)
-        placements = cover_line(xs, spec, point_model)
-        measure = float(len(placements)) if placements is not None else math.inf
-        if trace.log(delta, measure, float(delta)):
-            break
-
+    delta, placements = trace.search(
+        lambda d: (cover_line(xs, build_groups(d, t), point_model), float(d)))
     horizon = delta + -(-2 * delta // t)
     placements.sort(key=lambda cr: (-cr[1], cr[0]))
     sources = tuple(

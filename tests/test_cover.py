@@ -56,7 +56,7 @@ def test_candidate_centers_order_and_dedup():
 
 def test_greedy_cover_single_disk_via_midpoint():
     pts = [Point(0, 0), Point(3, 0)]
-    cover = disk_cover_greedy(pts, 2.0)
+    cover = disk_cover_greedy(pts, 2.0, candidate_centers(pts))
     assert cover == [Point(1.5, 0.0)]
 
 
@@ -71,7 +71,7 @@ def test_greedy_cover_random_sweep():
         n = rng.randint(1, 14)
         pts = [Point(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(n)]
         radius = rng.uniform(0.5, 4.0)
-        cover = disk_cover_greedy(pts, radius)
+        cover = disk_cover_greedy(pts, radius, candidate_centers(pts))
         for p in pts:
             assert any(distance(p, c) <= radius + 1e-9 for c in cover)
 
@@ -82,12 +82,31 @@ def test_local_search_beats_plain_greedy():
     # recovers the optimal 2
     xs = (0.0, 0.1, 0.2, 1.8, 1.9, 2.0, 2.8, 2.9, 3.0, 4.6, 4.7, 4.8)
     pts = [Point(x, 0.0) for x in xs]
-    greedy = disk_cover_greedy(pts, 1.0)
-    polished = disk_cover_approx(pts, 1.0, epsilon=0.5)
+    cands = candidate_centers(pts)
+    greedy = disk_cover_greedy(pts, 1.0, cands)
+    polished = disk_cover_approx(pts, 1.0, cands, epsilon=0.5)
     assert len(greedy) == 3
     assert len(polished) == 2
     for p in pts:
         assert any(distance(p, c) <= 1.0 + 1e-9 for c in polished)
+
+
+def test_swap_budget_formula(monkeypatch):
+    # disk_cover_approx hands local search min(ceil(1/eps^2), 3) wherever
+    # that is finite, boundaries included, and 3 where 1/eps^2 overflows
+    budgets = []
+    monkeypatch.setattr("geoburn.cover.disk_cover_local_search",
+                        lambda pts, r, chosen, cands, budget, masks:
+                        budgets.append(budget) or chosen)
+    pts = [Point(0.0, 0.0), Point(1.0, 0.0)]
+    sweep = (1e-300, 1e-160, 1e-3, 0.3, 0.49, 0.5, 0.51, 0.6,
+             1 / math.sqrt(2), 0.70710678, 0.7072, 0.9, 1.0, 1.5, 1e300)
+    for eps in sweep:
+        disk_cover_approx(pts, 1.0, pts, eps)
+    want = [3 if eps < 1e-100 else min(math.ceil(1.0 / (eps * eps)), 3)
+            for eps in sweep]
+    assert budgets == want
+    assert set(budgets) == {0, 1, 2, 3}
 
 
 def _cover_hole_reference(need, cand_masks, size):
@@ -341,6 +360,9 @@ def test_verifier_exact_boundary():
     # one disk of radius exactly 1 covers the unit disk; 0.999 does not
     assert verify_template(((0.0, 0.0),), 1.0, resolution=0.25)
     assert not verify_template(((0.0, 0.0),), 0.999, resolution=0.25)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            verify_template(((0.0, 0.0),), 1.0, resolution=bad)
 
 
 def test_scaled_template_geometry():

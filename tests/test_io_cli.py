@@ -199,6 +199,8 @@ def test_generate_shapes():
         generate("hexagonal", n=3, seed=0)
     with pytest.raises(ValueError):
         generate("lsat-reduction", n=1, seed=0)
+    with pytest.raises(ValueError):
+        generate("uniform-square", n=-3, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +248,8 @@ def _write(path, text):
 
 
 def test_cli_gen_solve_validate(tmp_path, capsys):
+    assert main(["gen", "--kind", "uniform-square", "--n", "-3"]) == 1
+    assert capsys.readouterr().err.startswith("error: n must be non-negative")
     assert main(["gen", "--kind", "uniform-square", "--n", "6", "--seed", "4"]) == 0
     inst_file = _write(tmp_path / "inst.txt", capsys.readouterr().out)
     assert main(["solve", inst_file, "--model", "point", "--eps", "1.0"]) == 0
@@ -292,6 +296,15 @@ def test_cli_exit_codes(tmp_path, capsys):
                              "--eps", eps]) == 1
                 err = capsys.readouterr().err
                 assert err.startswith("error: epsilon")
+                assert "Traceback" not in err
+    # a tiny epsilon solves, or is rejected when 2 / epsilon overflows
+    for inst_file in (line, plane):
+        for eps in ("1e-160", "1e-300", "1e-320"):
+            for model in ("point", "anywhere"):
+                code = main(["solve", inst_file, "--model", model, "--eps", eps])
+                out, err = capsys.readouterr()
+                assert code in (0, 1)
+                assert "# horizon" in out if code == 0 else err.startswith("error:")
                 assert "Traceback" not in err
 
 
@@ -386,3 +399,6 @@ def test_cli_verify_templates(capsys):
     out = capsys.readouterr().out
     assert "certified yes" in out
     assert "margin 0.002850" in out
+    for bad in ("0", "nan", "-1", "inf"):
+        assert main(["verify-templates", f"--resolution={bad}"]) == 1
+        assert capsys.readouterr().err.startswith("error: resolution")

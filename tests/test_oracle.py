@@ -16,7 +16,7 @@ from geoburn.core import (
     Point,
     validate_schedule,
 )
-from geoburn.cover import coverage_mask, disk_cover_greedy, disk_graph
+from geoburn.cover import candidate_centers, coverage_mask, disk_cover_greedy, disk_graph
 from geoburn.oracle import (
     CapacityError,
     InfeasibleError,
@@ -240,13 +240,16 @@ def test_exact_disk_cover():
     assert exact_disk_cover([Point(0, 0), Point(3, 0)], 2.0) == [Point(1.5, 0.0)]
     assert exact_disk_cover([], 1.0) == []
     assert exact_disk_cover([Point(0, 0), Point(5, 0)], 1.0, max_size=1) is None
+    # candidates that cover no point admit no cover
+    assert exact_disk_cover([Point(0, 0)], 1.0, candidates=[]) is None
+    assert exact_disk_cover([Point(0, 0)], 1.0, candidates=[Point(5, 5)]) is None
     rng = random.Random(44)
     for _ in range(10):
         n = rng.randint(1, 9)
         pts = [Point(rng.uniform(0, 8), rng.uniform(0, 8)) for _ in range(n)]
         radius = rng.uniform(0.5, 3.0)
         exact = exact_disk_cover(pts, radius)
-        greedy = disk_cover_greedy(pts, radius)
+        greedy = disk_cover_greedy(pts, radius, candidate_centers(pts))
         assert len(exact) <= len(greedy)
         for p in pts:
             assert any(abs(p.x - c.x) ** 2 + (p.y - c.y) ** 2
