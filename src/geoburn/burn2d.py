@@ -18,8 +18,8 @@ accepted guess as an ignition schedule:
   A source an earlier fire has already burnt is left out when the
   earlier fire alone burns everything it would.  About 1 + h + eps times
   optimal; point_burning_nonuniform is its k = 1 form.
-* max_burn_schedule: grouped greedy over radius multipliers; burns at
-  least half of the best achievable count.
+* max_burn_schedule: grouped greedy over the exact search's fire masks;
+  burns at least half of the best achievable count.
 
 With strict_oracle the guesses use exact minimum covers / dominating sets
 (bounded-size decision searches) instead of greedy ones.
@@ -32,16 +32,13 @@ import math
 from geoburn.core import (
     ANYWHERE,
     POINT,
-    TOL,
     BurnSchedule,
     BurnSource,
     GuessTrace,
     Instance,
     Model,
-    Point,
     burns,
     check_epsilon,
-    distance,
 )
 from geoburn.cover import (
     ANNULUS_INNER_FRACTION,
@@ -52,6 +49,7 @@ from geoburn.cover import (
     disk_cover_approx,
     disk_graph,
     dominating_set_greedy,
+    fire_masks,
     max_coverage_groups,
     scaled_template,
     zone_of,
@@ -79,14 +77,16 @@ def _check(inst: Instance, epsilon: float, uniform: bool) -> None:
         raise ValueError("uniform rates required")
 
 
-def _accepted_cover(trace, pts, epsilon, strict, candidates):
-    # the planar guesses: a radius-delta cover within delta * (1 + epsilon) disks
+def _accepted_cover(trace, inst, epsilon, strict, candidates):
+    # the planar guesses: a radius delta * rate cover within delta * (1 + epsilon) disks
+    pts, rate = inst.points, inst.rates[0]
+
     def attempt(delta):
         threshold = delta * (1.0 + epsilon)
         if strict:
-            return exact_disk_cover(pts, float(delta), max_size=_ifloor(threshold),
+            return exact_disk_cover(pts, delta * rate, max_size=_ifloor(threshold),
                                     candidates=candidates), threshold
-        return disk_cover_approx(pts, float(delta), candidates, epsilon), threshold
+        return disk_cover_approx(pts, delta * rate, candidates, epsilon), threshold
 
     delta, cover = trace.search(attempt)
     return delta, sorted(cover)
@@ -110,28 +110,20 @@ def anywhere_burning(inst: Instance, epsilon: float = 1.0, *,
     })
     if inst.n == 0:
         return 0, BurnSchedule(model, 0, ()), trace
-    rate = inst.rates[0]
-    pts = [Point(p.x / rate, p.y / rate) for p in inst.points]
-    cands = None
-    if not strict_oracle:
-        n = len(pts)
-        cands = candidate_centers(pts, midpoints=n <= 150,
-                                  circumcenters=n <= 40)
-    delta, centers = _accepted_cover(trace, pts, epsilon, strict_oracle, cands)
+    rate, n = inst.rates[0], inst.n
+    # the exact cover needs the complete family; the greedy one is capped
+    cands = candidate_centers(inst.points, midpoints=strict_oracle or n <= 150,
+                              circumcenters=strict_oracle or n <= 40)
+    delta, centers = _accepted_cover(trace, inst, epsilon, strict_oracle, cands)
 
     m = len(centers)
     n1 = _iceil(PHASE1_FRACTION * m)
     horizon = n1 + _iceil(delta * (1.0 + epsilon))
-    sources = []
-    for step, c in enumerate(centers[:n1], start=1):
-        sources.append(BurnSource(Point(c.x * rate, c.y * rate), step, rate))
-    step = n1
-    for c in centers[n1:]:
-        for tp in scaled_template(c, float(delta)):
-            step += 1
-            sources.append(BurnSource(Point(tp.x * rate, tp.y * rate), step, rate))
+    fires = centers[:n1] + [tp for c in centers[n1:]
+                            for tp in scaled_template(c, delta * rate)]
+    sources = [BurnSource(c, step, rate) for step, c in enumerate(fires, start=1)]
     # every template fire must still reach its 0.6094-delta share
-    assert horizon - step + 1e-9 >= TEMPLATE_FRACTION * delta, \
+    assert horizon - len(fires) + 1e-9 >= TEMPLATE_FRACTION * delta, \
         "template ignitions ran past their step budget"
     return horizon, BurnSchedule(model, horizon, tuple(sources)), trace
 
@@ -152,46 +144,33 @@ def point_burning(inst: Instance, epsilon: float = 1.0, *,
     })
     if inst.n == 0:
         return 0, BurnSchedule(model, 0, ()), trace
-    rate = inst.rates[0]
-    pts = [Point(p.x / rate, p.y / rate) for p in inst.points]
-    delta, centers = _accepted_cover(trace, pts, epsilon, strict_oracle, pts)
+    rate, pts = inst.rates[0], inst.points
+    delta, centers = _accepted_cover(trace, inst, epsilon, strict_oracle, pts)
 
     m = len(centers)
     extra = _iceil(ANNULUS_INNER_FRACTION * delta * (1.0 + epsilon))
     horizon = m + extra
-    # ignite the instance points themselves, not their rescaled copies
-    unscaled = dict(zip(pts, inst.points))
-    sources = [BurnSource(unscaled[c], step, rate)
-               for step, c in enumerate(centers, start=1)]
-
-    burned: set[int] = set()
-    for step, c in enumerate(centers, start=1):
-        fire = BurnSource(c, step)  # in the rescaled frame, rate 1
-        for i, p in enumerate(pts):
-            if burns(fire, p, horizon):
-                burned.add(i)
+    sources = [BurnSource(c, step, rate) for step, c in enumerate(centers, start=1)]
+    burned = {i for i, p in enumerate(pts)
+              if any(burns(fire, p, horizon) for fire in sources)}
 
     # fires younger than delta leave an outer annulus: patch each occupied
     # thirteenth-sector by igniting its lowest-index leftover point
     late_count = min(m, max(0, delta - extra))
     reps: list[int] = []
-    taken: set[int] = set()
     for c in centers[m - late_count:m]:
         for zone in range(ZONE_COUNT):
             for i, p in enumerate(pts):
-                if i in burned or i in taken:
-                    continue
-                if zone_of(p, c, float(delta)) == zone:
-                    taken.add(i)
+                if i not in burned and zone_of(p, c, delta * rate) == zone:
+                    burned.add(i)  # its patch fire burns it
                     reps.append(i)
                     break
     assert len(reps) <= extra, "annulus fires ran past the horizon"
-    for j, i in enumerate(reps):
-        sources.append(BurnSource(inst.points[i], m + 1 + j, rate))
+    sources += [BurnSource(pts[i], step, rate) for step, i in enumerate(reps, m + 1)]
     if reps:
         assert extra - len(reps) + 1e-9 >= LATE_REACH_FRACTION * delta, \
             "an annulus fire cannot span its zone"
-    sources = _drop_burnt_ignitions(inst.points, horizon, sources)
+    sources = _drop_burnt_ignitions(pts, horizon, sources)
     return horizon, BurnSchedule(model, horizon, tuple(sources)), trace
 
 
@@ -253,9 +232,12 @@ def k_burning_nonuniform(inst: Instance, k: int = 1, epsilon: float = 1.0, *,
 
     delta, dom = trace.search(attempt)
 
+    wait = h * (delta - 1) if delta > 1 else 0.0
+    if not math.isfinite(wait):
+        raise ValueError(f"the horizon is not finite at rate ratio {h!r}")
     order = sorted(dom, key=lambda i: pts[i])
     ignite_steps = -(-len(order) // k)
-    horizon = ignite_steps + _iceil(h * (delta - 1))
+    horizon = ignite_steps + _iceil(wait)
     sources = [BurnSource(pts[i], 1 + j // k, inst.rates[i])
                for j, i in enumerate(order)]
     # a dominator e of p satisfies d(p, e) <= (delta-1)(r_e + r_p)/2, and
@@ -277,10 +259,10 @@ def point_burning_nonuniform(inst: Instance, epsilon: float = 1.0, *,
 def max_burn_schedule(inst: Instance, q: int) -> tuple[int, BurnSchedule]:
     """Burn as many points as possible in q steps from designated sources.
 
-    Group rho in {0..q-1} offers, per source, the point set within
-    rho times its rate; a greedy picks at most one set per group and each
-    source once, igniting source s with multiplier rho at step q - rho.
-    The count is at least half the best achievable.
+    Group rho in {0..q-1} offers, per source, the points its fire burns in
+    rho steps (the ``fire_masks`` that ``exact_max_burn`` reads); a greedy
+    picks at most one set per group and each source once, igniting source
+    s with multiplier rho at step q - rho.  At least half the best count.
     """
     if inst.sources is None:
         raise ValueError("instance designates no sources")
@@ -289,26 +271,13 @@ def max_burn_schedule(inst: Instance, q: int) -> tuple[int, BurnSchedule]:
     model = Model(POINT)
     if q == 0 or not inst.sources:
         return 0, BurnSchedule(model, q, ())
-    # per source, its points by distance; group rho holds, per source,
-    # the points within rho times its rate (+TOL), a prefix of that order
-    pts = inst.points
-    groups: list[list[int]] = [[] for _ in range(q)]
-    for si in inst.sources:
-        center, rate = pts[si], inst.rates[si]
-        by_dist = sorted((distance(center, p), i) for i, p in enumerate(pts))
-        mask, k = 0, 0
-        for rho, row in enumerate(groups):
-            reach = rho * rate + TOL
-            while k < len(by_dist) and by_dist[k][0] <= reach:
-                mask |= 1 << by_dist[k][1]
-                k += 1
-            row.append(mask)
-    labels = [inst.sources] * q
-    picks = max_coverage_groups(groups, labels)
+    table = fire_masks(inst, model, inst.sources)
+    groups = [[m for _, m in table(rho)] for rho in range(q)]
+    picks = max_coverage_groups(groups, [inst.sources] * q)
     covered = 0
     sources = []
     for rho, pos in picks:
         si = inst.sources[pos]
         covered |= groups[rho][pos]
-        sources.append(BurnSource(pts[si], q - rho, inst.rates[si]))
+        sources.append(BurnSource(inst.points[si], q - rho, inst.rates[si]))
     return covered.bit_count(), BurnSchedule(model, q, tuple(sources))

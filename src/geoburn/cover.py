@@ -1,8 +1,9 @@
 """Disk-covering primitives shared by the planar pipelines.
 
 Contents: candidate center generation (input points, pair midpoints,
-circumcenters), greedy set cover with an optional local-search polish,
-disk graphs and greedy dominating sets, the frozen five-disk covering
+circumcenters), coverage masks and the per-solve fire-mask tables, one
+lazy greedy set cover (disk covers, with an optional local-search
+polish, and dominating sets of disk graphs), the frozen five-disk covering
 template with a rigorous verifier, the annulus zones used by the planar
 point-model pipeline, and a grouped max-coverage greedy.
 """
@@ -13,12 +14,12 @@ import bisect
 import heapq
 import itertools
 import math
-from functools import lru_cache
-from typing import Sequence
+from functools import cache, lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
 
-from geoburn.core import TOL, Point, distance
+from geoburn.core import POINT, TOL, Instance, Model, Point, distance
 
 # Five disks of this radius, centered at the template coordinates below,
 # cover the closed unit disk.  The coordinates come from an offline
@@ -63,13 +64,21 @@ def candidate_centers(points: Sequence[Point], *, midpoints: bool = True,
     smallest enclosing circle of Q without uncovering anything, and that
     center is an input point, a pair midpoint, or a circumcenter of a
     non-collinear triple.  Order: points, then midpoints, then
-    circumcenters; near-duplicates (within TOL) collapse to the first seen.
+    circumcenters; near-duplicates (within TOL) collapse to the first seen,
+    found on a grid of cell max(TOL, 2^-40 times the largest coordinate).
+    A candidate whose coordinate over the cell is not finite (overflowed,
+    or some 10^296 input extents out) is skipped.
     """
     out: list[Point] = []
     buckets: dict[tuple[int, int], list[int]] = {}
+    scale = max((max(abs(p.x), abs(p.y)) for p in points), default=0.0)
+    cell = max(TOL, scale * 2.0 ** -40)
 
     def push(p: Point) -> None:
-        kx, ky = round(p.x / TOL), round(p.y / TOL)
+        qx, qy = p.x / cell, p.y / cell
+        if not (math.isfinite(qx) and math.isfinite(qy)):
+            return
+        kx, ky = round(qx), round(qy)
         for nx in (kx - 1, kx, kx + 1):
             for ny in (ky - 1, ky, ky + 1):
                 for i in buckets.get((nx, ny), ()):
@@ -98,42 +107,99 @@ def coverage_mask(center: Point, radius: float, points: Sequence[Point]) -> int:
 
 def coverage_masks(centers: Sequence[Point], radius: float,
                    points: Sequence[Point]) -> list[int]:
-    """coverage_mask for many centers at once, vectorized."""
+    """coverage_mask for many centers at once, vectorized.
+
+    The test is d^2 <= (radius + TOL)^2, and an infinite radius covers all.
+    Past 2^500 every length is divided by one power of two (exact), so that
+    no square overflows and compares equal to an overflowed bound.
+    """
+    bound = radius + TOL
+    if bound == math.inf:
+        return [(1 << len(points)) - 1] * len(centers)
     C = np.array([(c.x, c.y) for c in centers], dtype=float).reshape(-1, 2)
     P = np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
+    big = max(bound, np.abs(C).max(initial=0.0), np.abs(P).max(initial=0.0))
+    if big > 2.0 ** 500:
+        unit = 2.0 ** (math.frexp(big)[1] - 500)
+        C, P, bound = C / unit, P / unit, bound / unit
     d2 = ((C[:, None, 0] - P[None, :, 0]) ** 2
           + (C[:, None, 1] - P[None, :, 1]) ** 2)
-    hit = d2 <= (radius + TOL) ** 2
+    hit = d2 <= bound ** 2
     packed = np.packbits(hit, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def fire_masks(inst: Instance, model: Model, sources: Sequence[int]
+               ) -> Callable[[int], list[tuple[object, int]]]:
+    """A solve's fires as a table ``at(rho)``, each rho built once on first use.
+
+    ``at(rho)`` holds an (ident, coverage mask) entry per fire that spreads
+    rho steps, at radius ``rate * rho``.  Point model: the idents are
+    ``sources``, in order.  Anywhere model: they are centers, the candidate
+    centers in the plane (built once), and on a line the points moved left
+    by the radius (a fire slid right until its right edge sits on a point
+    keeps all it covered).
+    """
+    pts = inst.points
+    if model.tag == POINT:
+        by_rate: dict[float, list[int]] = {}
+        for i in sources:
+            by_rate.setdefault(inst.rates[i], []).append(i)
+
+        def build(rho: int) -> list[tuple[object, int]]:
+            mask_of: dict[int, int] = {}
+            for rate, group in by_rate.items():
+                mask_of.update(zip(group, coverage_masks(
+                    [pts[i] for i in group], rate * rho, pts)))
+            return [(i, mask_of[i]) for i in sources]
+    else:
+        rate = inst.rates[0] if inst.rates else 1.0
+        base = candidate_centers(pts) if inst.dimension == 2 else None
+
+        def build(rho: int) -> list[tuple[object, int]]:
+            radius = rate * rho
+            cs = base if base is not None else [Point(p.x - radius, 0.0) for p in pts]
+            return list(zip(cs, coverage_masks(cs, radius, pts)))
+    return cache(build)
+
+
+def greedy_cover(masks: Sequence[int], full: int) -> tuple[list[int], int]:
+    """Greedy set cover of ``full``: (picked indices, bits left uncovered).
+
+    Each round picks the mask adding the most bits, the lowest index on
+    ties, until none adds a bit.  It runs lazily over a heap keyed by
+    (-gain, index): gains only fall, so every key bounds its mask's gain,
+    and a popped mask whose gain equals its key is the eager scan's pick.
+    """
+    heap = [(-(m & full).bit_count(), i) for i, m in enumerate(masks)]
+    heapq.heapify(heap)
+    left = full
+    picked: list[int] = []
+    while left and heap:
+        key, i = heapq.heappop(heap)
+        gain = (masks[i] & left).bit_count()
+        if gain and gain == -key:
+            picked.append(i)
+            left &= ~masks[i]
+        elif gain:
+            heapq.heappush(heap, (-gain, i))
+    return picked, left
 
 
 def disk_cover_greedy(points: Sequence[Point], radius: float,
                       candidates: Sequence[Point],
                       cand_masks: Sequence[int] | None = None) -> list[Point]:
-    """Greedy cover of ``points`` by equal disks at candidate centers.
+    """``greedy_cover`` of ``points`` by the candidates' masks ``cand_masks``.
 
-    Picks the candidate covering the most uncovered points each round
-    (ties to the earlier candidate).  ``cand_masks`` are the candidates'
-    coverage masks, computed here when not given.  Raises ValueError if
-    the candidates cannot cover some point.
+    The masks are computed here when not given.  Raises ValueError if the
+    candidates cannot cover some point.
     """
     if cand_masks is None:
         cand_masks = coverage_masks(candidates, radius, points)
-    full = (1 << len(points)) - 1
-    covered = 0
-    chosen: list[Point] = []
-    while covered != full:
-        best_gain, best_i = 0, -1
-        for i, m in enumerate(cand_masks):
-            gain = (m & ~covered).bit_count()
-            if gain > best_gain:
-                best_gain, best_i = gain, i
-        if best_i < 0:
-            raise ValueError("candidate centers cannot cover every point")
-        covered |= cand_masks[best_i]
-        chosen.append(candidates[best_i])
-    return chosen
+    picked, left = greedy_cover(cand_masks, (1 << len(points)) - 1)
+    if left:
+        raise ValueError("candidate centers cannot cover every point")
+    return [candidates[i] for i in picked]
 
 
 def disk_cover_local_search(points: Sequence[Point], radius: float,
@@ -350,32 +416,9 @@ def closed_neighborhoods(neighbors: Sequence[set[int]]) -> list[int]:
 
 
 def dominating_set_greedy(neighbors: Sequence[set[int]]) -> list[int]:
-    """Greedy dominating set: max newly-dominated closed neighborhood first.
-
-    Each round picks the vertex whose closed neighbourhood holds the most
-    undominated vertices, the lowest index on ties.  The rounds run
-    over ``closed_neighborhoods`` as a lazy greedy over a heap keyed by
-    (-gain, v): gains only fall as
-    vertices get dominated, so every key is an upper bound on its
-    vertex's gain.  A popped vertex whose recomputed gain equals its key
-    therefore has the largest gain, and every vertex with that gain and
-    a lower index would have been popped first; it is the pick of the
-    eager scan over all vertices, and the picks come in the same order.
-    """
-    closed = closed_neighborhoods(neighbors)
-    heap = [(-m.bit_count(), v) for v, m in enumerate(closed)]
-    heapq.heapify(heap)
-    undominated = (1 << len(neighbors)) - 1
-    picked: list[int] = []
-    while undominated:
-        key, v = heapq.heappop(heap)
-        gain = (closed[v] & undominated).bit_count()
-        if gain == -key:
-            picked.append(v)
-            undominated &= ~closed[v]
-        elif gain:
-            heapq.heappush(heap, (-gain, v))
-    return picked
+    """Greedy dominating set: ``greedy_cover`` by the closed neighbourhoods."""
+    return greedy_cover(closed_neighborhoods(neighbors),
+                        (1 << len(neighbors)) - 1)[0]
 
 
 def zone_of(p: Point, center: Point, delta: float) -> int | None:

@@ -36,6 +36,7 @@ from geoburn.core import (
     Point,
     distance,
 )
+from geoburn.cover import fire_masks
 from geoburn.oracle import DEFAULT_NODE_BUDGET, _search_steps
 
 ELEMENT_CLEARANCE = 20  # grid spacing n^2 + 20n keeps elements n^2 apart
@@ -395,7 +396,8 @@ def brute_force_burnable(layout: ReductionLayout,
     T = 2 * n if horizon is None else int(horizon)
     inst = Instance(points=layout.points, sources=layout.sources)
     _got, sched = _search_steps(inst, Model(POINT), T, [DEFAULT_NODE_BUDGET],
-                                layout.sources, len(layout.points) - 1)
+                                fire_masks(inst, Model(POINT), layout.sources),
+                                len(layout.points) - 1)
     return sched
 
 

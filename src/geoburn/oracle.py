@@ -4,7 +4,9 @@ Two exhaustive but heavily pruned kernels answer every exact question.
 The step search assigns ignitions over steps 1..T and returns the most
 points some schedule burns: minimum-horizon burning schedules, the best
 burn count for designated sources (max-burn), and the LSAT gadget's
-brute force all call it.  The cover search finds a minimum set cover over
+brute force all call it.  It reads the fires' masks from a
+``cover.fire_masks`` table, which a burning-number solve builds once for
+all its horizons.  The cover search finds a minimum set cover over
 bitmasks: minimum equal-disk covers and minimum dominating sets call it.
 Both carry a node budget and raise CapacityError when it runs out, so
 callers never hang.
@@ -13,7 +15,7 @@ callers never hang.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 from geoburn.core import (
     ANYWHERE,
@@ -29,6 +31,7 @@ from geoburn.cover import (
     closed_neighborhoods,
     coverage_mask,  # noqa: F401  (the benchmark's traced run wraps this name)
     coverage_masks,
+    fire_masks,
 )
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -63,19 +66,22 @@ def exact_burning_number(inst: Instance, model: Model | None = None, *,
     if max_steps is None:
         max_steps = max(1, math.ceil(n / model.k))
     budget = [node_budget]
+    table = fire_masks(inst, model, range(n))
     for horizon in range(1, max_steps + 1):
-        got, sched = _search_steps(inst, model, horizon, budget, range(n), n - 1)
+        got, sched = _search_steps(inst, model, horizon, budget, table, n - 1)
         if got == n:
             return horizon, sched
     raise InfeasibleError(f"no valid schedule within {max_steps} steps")
 
 
 def _search_steps(inst: Instance, model: Model, T: int, budget: list[int],
-                  sources: Sequence[int], floor: int
+                  table: Callable[[int], list[tuple[object, int]]], floor: int
                   ) -> tuple[int, BurnSchedule | None]:
     """The step kernel: most points a schedule over steps 1..T burns.
 
-    Point-model fires may ignite only at the indices in ``sources``.
+    A fire ignited at step s spreads T - s steps, so the fires step s may
+    light are ``table(T - s)``, a ``cover.fire_masks`` table; the kernel
+    builds no masks, and one table serves every horizon of a solve.
     Returns the best count above ``floor`` with a schedule reaching it,
     or (floor, None) when no schedule beats the floor; the search stops
     as soon as every point burns.  A node fails when its cover plus
@@ -86,33 +92,6 @@ def _search_steps(inst: Instance, model: Model, T: int, budget: list[int],
     n = inst.n
     pts = inst.points
     point_model = model.tag == POINT
-
-    if point_model:
-        # cover[i][s]: points inside the final fire disk of point i ignited
-        # at step s, from one mask call per step and rate
-        cover = [[0] * (T + 1) for _ in range(n)]
-        for rate in {inst.rates[i] for i in sources}:
-            group = [i for i in sources if inst.rates[i] == rate]
-            centers = [pts[i] for i in group]
-            for s in range(1, T + 1):
-                for i, m in zip(group, coverage_masks(centers, rate * (T - s), pts)):
-                    cover[i][s] = m
-    else:
-        rate = inst.rates[0] if inst.rates else 1.0
-        # on a line the canonical form slides each fire right until its
-        # right edge sits on an input point, which keeps everything it
-        # covered; in the plane the candidate centers suffice
-        base = candidate_centers(pts) if inst.dimension == 2 else None
-        step_masks: dict[int, list[tuple[Point, int]]] = {}
-
-    def entries_at(s: int, used: int) -> list[tuple[object, int]]:
-        if point_model:
-            return [(i, cover[i][s]) for i in sources if not used >> i & 1]
-        if s not in step_masks:
-            rho = rate * (T - s)
-            cs = base if base is not None else [Point(p.x - rho, 0.0) for p in pts]
-            step_masks[s] = list(zip(cs, coverage_masks(cs, rho, pts)))
-        return step_masks[s]
 
     best = floor
     witness: list[tuple[object, int]] | None = None
@@ -134,7 +113,9 @@ def _search_steps(inst: Instance, model: Model, T: int, budget: list[int],
         budget[0] -= 1
         if budget[0] < 0:
             raise CapacityError("burning search node budget exhausted")
-        entries = entries_at(s, used)
+        entries = table(T - s)
+        if point_model:
+            entries = [(i, m) for i, m in entries if not used >> i & 1]
         reach = 0
         for _, m in entries:
             reach |= m
@@ -172,7 +153,7 @@ def _search_steps(inst: Instance, model: Model, T: int, budget: list[int],
     if point_model:
         srcs = tuple(BurnSource(pts[i], s, inst.rates[i]) for i, s in witness)
     else:
-        srcs = tuple(BurnSource(c, s, rate) for c, s in witness)
+        srcs = tuple(BurnSource(c, s, inst.rates[0]) for c, s in witness)
     return best, BurnSchedule(model, T, srcs)
 
 
@@ -272,5 +253,6 @@ def exact_max_burn(inst: Instance, q: int, *,
         raise ValueError("instance designates no sources")
     if q < 0:
         raise ValueError("step count must be non-negative")
-    got, _ = _search_steps(inst, Model(POINT), q, [node_budget], inst.sources, 0)
+    got, _ = _search_steps(inst, Model(POINT), q, [node_budget],
+                           fire_masks(inst, Model(POINT), inst.sources), 0)
     return got

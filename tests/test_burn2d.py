@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from geoburn import burn2d
+from geoburn import burn2d, oracle
 from geoburn.burn2d import (
     _drop_burnt_ignitions,
     anywhere_burning,
@@ -119,6 +119,21 @@ def test_anywhere_ratio_strict():
         horizon, sched, _ = anywhere_burning(inst, eps, strict_oracle=True)
         assert validate_schedule(inst, sched).valid
         assert horizon <= bound * best + 2
+
+
+def test_anywhere_strict_builds_candidates_once(monkeypatch):
+    # the strict guesses share one complete candidate list
+    calls = []
+    for module in (burn2d, oracle):
+        def counted(*args, _real=module.candidate_centers, _name=module.__name__,
+                    **kwargs):
+            calls.append((_name, kwargs))
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, "candidate_centers", counted)
+    inst = random_planar(random.Random(7), 7, span=12.0)
+    _, sched, trace = anywhere_burning(inst, 0.5, strict_oracle=True)
+    assert len(trace.entries) > 1 and validate_schedule(inst, sched).valid
+    assert calls == [("geoburn.burn2d", {"midpoints": True, "circumcenters": True})]
 
 
 def test_point_single_point():

@@ -26,6 +26,7 @@ from geoburn.cover import (
     disk_cover_local_search,
     disk_graph,
     dominating_set_greedy,
+    greedy_cover,
     max_coverage_groups,
     sample_covering_radius,
     scaled_template,
@@ -52,6 +53,52 @@ def test_candidate_centers_order_and_dedup():
 
     line = candidate_centers([Point(0, 0), Point(1, 0), Point(2, 0)])
     assert len(line) == 5  # midpoint (1, 0) duplicates an input point
+
+
+def test_candidate_centers_extreme_coordinates():
+    # a midpoint that overflows is skipped; huge coordinates bucket on a
+    # wider cell and still collapse only points within TOL
+    for far in (1e299, 1e300, 1.7e308):
+        pts = [Point(0, 0), Point(3, 4), Point(far, 0), Point(far, 1.0)]
+        cands = candidate_centers(pts)
+        assert cands[:4] == pts
+        assert all(math.isfinite(c.x) and math.isfinite(c.y) for c in cands)
+        assert len(cands) == len(set(cands))
+    assert candidate_centers([Point(1.7e308, 0), Point(1.5e308, 0)]) == [
+        Point(1.7e308, 0), Point(1.5e308, 0)]
+    assert len(candidate_centers([Point(1.7e308, 0), Point(1.7e308, 0)])) == 1
+
+
+def test_coverage_masks_huge_lengths():
+    # squares past the float range must not compare inf <= inf
+    pts = [Point(0, 0), Point(1e300, 0), Point(-1e300, 1e300)]
+    assert coverage_masks([Point(0, 0)], 1e300, pts) == [0b011]
+    assert coverage_masks([Point(0, 0)], 1.5e300, pts) == [0b111]
+    assert coverage_masks([Point(1e300, 0)], 0.0, pts) == [0b010]
+    assert coverage_masks([Point(-1e308, 0)], 1e308, [Point(1e308, 0), Point(0, 0)]) == [0b10]
+    assert coverage_masks([Point(0, 0)], 1e200, [Point(0, 0), Point(2e200, 0)]) == [0b01]
+    assert coverage_masks([Point(0, 0)], math.inf, pts) == [0b111]
+    # at ordinary lengths nothing is rescaled: the boundary stays at +TOL
+    assert coverage_masks([Point(0, 0)], 5.0, [Point(3, 4 + 0.9 * TOL),
+                                               Point(3, 4 + 2 * TOL)]) == [0b01]
+
+
+def test_greedy_cover_matches_eager_scan():
+    # the lazy heap picks what a rescan of every mask per round picks
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        full = (1 << n) - 1
+        masks = [rng.getrandbits(n) & rng.getrandbits(n) if n else 0
+                 for _ in range(rng.randint(0, 15))]
+        left, want = full, []
+        while left:
+            gains = [(m & left).bit_count() for m in masks]
+            if not gains or max(gains) == 0:
+                break
+            want.append(gains.index(max(gains)))
+            left &= ~masks[want[-1]]
+        assert greedy_cover(masks, full) == (want, left)
 
 
 def test_greedy_cover_single_disk_via_midpoint():

@@ -308,6 +308,48 @@ def test_cli_exit_codes(tmp_path, capsys):
                 assert "Traceback" not in err
 
 
+def test_cli_extreme_inputs_exit_cleanly(tmp_path, capsys):
+    # finite but extreme coordinates and rates: each run solves with a
+    # schedule the validator accepts, or exits 1 with an error line
+    far = "point 0 0\npoint 3 4\npoint {} 0\n"
+    uniform = "point 0 0 {0}\npoint 1e9 0 {0}\npoint 3 4 {0}\n"
+    inputs = {
+        "far-1e299": far.format("1e299"),
+        "far-1e300": far.format("1e300"),
+        "rates-1e300-1e-10-1": "point 0 0 1e300\npoint 3 4 1e-10\npoint 9 1 1\n",
+        "rates-1-1e-320": "point 0 0 1\npoint 3 4 1e-320\n",
+        "uniform-1e-300": uniform.format("1e-300"),
+        "uniform-1e300": uniform.format("1e300"),
+    }
+    runs = []
+    for name, body in inputs.items():
+        inst_file = _write(tmp_path / f"{name}.txt", "geoburn instance\n" + body)
+        for model in ("point", "anywhere"):
+            runs.append(["oracle", inst_file, "--model", model])
+            runs.append(["solve", inst_file, "--model", model])
+            runs.append(["solve", inst_file, "--model", model, "--strict-oracle"])
+    solved = 0
+    for argv in runs:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err, argv
+        assert code in (0, 1), (argv, err)
+        if code == 1:
+            assert err.startswith("error:"), (argv, err)
+            continue
+        solved += 1
+        sched_file = _write(tmp_path / "sched.txt", out)
+        assert main(["validate", argv[1], sched_file]) == 0, argv
+        assert capsys.readouterr().out.strip() == "valid", argv
+    # the uniform-rate pipelines solve in the instance's own frame
+    for name in ("uniform-1e-300", "uniform-1e300", "far-1e299", "far-1e300"):
+        inst_file = str(tmp_path / f"{name}.txt")
+        for model in ("point", "anywhere"):
+            assert main(["solve", inst_file, "--model", model]) == 0, (name, model)
+            capsys.readouterr()
+    assert solved >= 24
+
+
 def test_cli_solve_dim_mismatch(tmp_path, capsys):
     inst_file = _write(tmp_path / "i.txt", "geoburn instance\npoint 1 2\n")
     assert main(["solve", inst_file, "--dim", "1"]) == 1

@@ -16,7 +16,14 @@ from geoburn.core import (
     Point,
     validate_schedule,
 )
-from geoburn.cover import candidate_centers, coverage_mask, disk_cover_greedy, disk_graph
+from geoburn import cover
+from geoburn.cover import (
+    candidate_centers,
+    coverage_mask,
+    disk_cover_greedy,
+    disk_graph,
+    fire_masks,
+)
 from geoburn.oracle import (
     CapacityError,
     InfeasibleError,
@@ -234,6 +241,50 @@ def test_burning_number_infeasible_and_capacity():
     with pytest.raises(ValueError):
         exact_burning_number(Instance.line([0.0, 1.0], rates=(1.0, 2.0)),
                              Model(ANYWHERE))
+
+
+def test_fire_masks_table():
+    inst = Instance.planar([(0, 0), (2, 0), (5, 0), (5, 3)],
+                           rates=(1.0, 2.0, 1.0, 1.0))
+    at = fire_masks(inst, Model(POINT), (2, 0, 1))
+    for rho in range(4):
+        entries = at(rho)
+        assert [i for i, _ in entries] == [2, 0, 1]  # the sources' order
+        for i, m in entries:
+            assert m == coverage_mask(inst.points[i], inst.rates[i] * rho, inst.points)
+        assert at(rho) is entries  # built once per radius
+    # on a line an anywhere fire's right edge sits on an input point
+    line = Instance.line([0.0, 1.0, 4.0])
+    assert fire_masks(line, Model(ANYWHERE), range(3))(1) == [
+        (Point(-1.0), 0b001), (Point(0.0), 0b011), (Point(3.0), 0b100)]
+    plane = Instance.planar([(0, 0), (3, 0), (0, 4)], rates=(2.0, 2.0, 2.0))
+    entries = fire_masks(plane, Model(ANYWHERE), range(3))(1)
+    assert [c for c, _ in entries] == candidate_centers(plane.points)
+    assert [m for _, m in entries] == [
+        coverage_mask(c, 2.0, plane.points) for c, _ in entries]
+
+
+def test_fire_masks_shared_across_horizons(monkeypatch):
+    # one planar anywhere solve builds its candidates once, and each
+    # radius's masks once, over all the horizons it tries
+    radii, cand_calls = [], []
+    masks, cands = cover.coverage_masks, cover.candidate_centers
+
+    def counted_masks(centers, radius, points):
+        radii.append(radius)
+        return masks(centers, radius, points)
+
+    def counted_cands(*args, **kwargs):
+        cand_calls.append(1)
+        return cands(*args, **kwargs)
+
+    monkeypatch.setattr(cover, "coverage_masks", counted_masks)
+    monkeypatch.setattr(cover, "candidate_centers", counted_cands)
+    inst = Instance.planar([(0, 0), (9, 0), (0, 9), (9, 9), (4, 5)])
+    delta, sched = exact_burning_number(inst, Model(ANYWHERE))
+    assert delta == 4 and validate_schedule(inst, sched).valid
+    assert len(cand_calls) == 1
+    assert sorted(radii) == [0.0, 1.0, 2.0, 3.0]
 
 
 def test_exact_disk_cover():
