@@ -14,6 +14,7 @@ import bisect
 import heapq
 import itertools
 import math
+import sys
 from functools import cache, lru_cache
 from typing import Callable, Sequence
 
@@ -110,21 +111,21 @@ def coverage_masks(centers: Sequence[Point], radius: float,
     """coverage_mask for many centers at once, vectorized.
 
     The test is d^2 <= (radius + TOL)^2, and an infinite radius covers all.
-    Past 2^500 every length is divided by one power of two (exact), so that
-    no square overflows and compares equal to an overflowed bound.
+    Past 2^500 it is hypot(dx, dy) <= radius + TOL, which cannot overflow or
+    underflow; an overflowed difference lies beyond every finite bound.
     """
     bound = radius + TOL
     if bound == math.inf:
         return [(1 << len(points)) - 1] * len(centers)
     C = np.array([(c.x, c.y) for c in centers], dtype=float).reshape(-1, 2)
     P = np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
-    big = max(bound, np.abs(C).max(initial=0.0), np.abs(P).max(initial=0.0))
-    if big > 2.0 ** 500:
-        unit = 2.0 ** (math.frexp(big)[1] - 500)
-        C, P, bound = C / unit, P / unit, bound / unit
-    d2 = ((C[:, None, 0] - P[None, :, 0]) ** 2
-          + (C[:, None, 1] - P[None, :, 1]) ** 2)
-    hit = d2 <= bound ** 2
+    if max(bound, np.abs(C).max(initial=0.0), np.abs(P).max(initial=0.0)) > 2.0 ** 500:
+        with np.errstate(over="ignore"):
+            hit = np.hypot(C[:, None, 0] - P[None, :, 0],
+                           C[:, None, 1] - P[None, :, 1]) <= bound
+    else:
+        hit = ((C[:, None, 0] - P[None, :, 0]) ** 2
+               + (C[:, None, 1] - P[None, :, 1]) ** 2) <= bound ** 2
     packed = np.packbits(hit, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
@@ -138,7 +139,8 @@ def fire_masks(inst: Instance, model: Model, sources: Sequence[int]
     ``sources``, in order.  Anywhere model: they are centers, the candidate
     centers in the plane (built once), and on a line the points moved left
     by the radius (a fire slid right until its right edge sits on a point
-    keeps all it covered).
+    keeps all it covered), no further than the most negative float (a fire
+    stopped there covers a superset).
     """
     pts = inst.points
     if model.tag == POINT:
@@ -158,7 +160,8 @@ def fire_masks(inst: Instance, model: Model, sources: Sequence[int]
 
         def build(rho: int) -> list[tuple[object, int]]:
             radius = rate * rho
-            cs = base if base is not None else [Point(p.x - radius, 0.0) for p in pts]
+            cs = base if base is not None else [
+                Point(max(p.x - radius, -sys.float_info.max), 0.0) for p in pts]
             return list(zip(cs, coverage_masks(cs, radius, pts)))
     return cache(build)
 

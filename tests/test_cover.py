@@ -78,6 +78,13 @@ def test_coverage_masks_huge_lengths():
     assert coverage_masks([Point(-1e308, 0)], 1e308, [Point(1e308, 0), Point(0, 0)]) == [0b10]
     assert coverage_masks([Point(0, 0)], 1e200, [Point(0, 0), Point(2e200, 0)]) == [0b01]
     assert coverage_masks([Point(0, 0)], math.inf, pts) == [0b111]
+    # short lengths beside huge ones neither underflow nor vanish
+    tiny = [Point(0, 0), Point(5e-5, 0), Point(1.7e308, 0), Point(1.7e308, 0.5)]
+    assert coverage_masks([Point(0, 0)], 0.0, tiny) == [0b0001]
+    assert coverage_masks([Point(0, 0)], 5e-5, tiny) == [0b0011]
+    assert coverage_masks([Point(1.7e308, 0)], 0.5, tiny) == [0b1100]
+    # an overflowed center covers nothing
+    assert coverage_masks([Point(-math.inf, 0)], 1e308, [Point(-1.5e308, 0)]) == [0]
     # at ordinary lengths nothing is rescaled: the boundary stays at +TOL
     assert coverage_masks([Point(0, 0)], 5.0, [Point(3, 4 + 0.9 * TOL),
                                                Point(3, 4 + 2 * TOL)]) == [0b01]

@@ -320,33 +320,35 @@ def test_cli_extreme_inputs_exit_cleanly(tmp_path, capsys):
         "rates-1-1e-320": "point 0 0 1\npoint 3 4 1e-320\n",
         "uniform-1e-300": uniform.format("1e-300"),
         "uniform-1e300": uniform.format("1e300"),
+        # a short length beside huge ones: delta* is 3
+        "tiny-and-far": "point 0 0\npoint 5e-5 0\npoint 1.7e308 0\npoint 1.7e308 0.5\n",
     }
+    # the uniform-rate pipelines solve these in the instance's own frame
+    must_solve = {"uniform-1e-300", "uniform-1e300", "far-1e299", "far-1e300"}
     runs = []
     for name, body in inputs.items():
         inst_file = _write(tmp_path / f"{name}.txt", "geoburn instance\n" + body)
         for model in ("point", "anywhere"):
-            runs.append(["oracle", inst_file, "--model", model])
-            runs.append(["solve", inst_file, "--model", model])
-            runs.append(["solve", inst_file, "--model", model, "--strict-oracle"])
+            runs.append((name, ["oracle", inst_file, "--model", model]))
+            runs.append((name, ["solve", inst_file, "--model", model]))
+            runs.append((name, ["solve", inst_file, "--model", model, "--strict-oracle"]))
     solved = 0
-    for argv in runs:
+    for name, argv in runs:
         code = main(argv)
         out, err = capsys.readouterr()
         assert "Traceback" not in err, argv
         assert code in (0, 1), (argv, err)
+        if name in must_solve and argv[0] == "solve" and len(argv) == 4:
+            assert code == 0, (argv, err)
         if code == 1:
             assert err.startswith("error:"), (argv, err)
             continue
         solved += 1
+        if name == "tiny-and-far" and argv[0] == "oracle":
+            assert out.splitlines()[0] == "# delta_star 3", argv
         sched_file = _write(tmp_path / "sched.txt", out)
         assert main(["validate", argv[1], sched_file]) == 0, argv
         assert capsys.readouterr().out.strip() == "valid", argv
-    # the uniform-rate pipelines solve in the instance's own frame
-    for name in ("uniform-1e-300", "uniform-1e300", "far-1e299", "far-1e300"):
-        inst_file = str(tmp_path / f"{name}.txt")
-        for model in ("point", "anywhere"):
-            assert main(["solve", inst_file, "--model", model]) == 0, (name, model)
-            capsys.readouterr()
     assert solved >= 24
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -257,6 +258,13 @@ def test_fire_masks_table():
     line = Instance.line([0.0, 1.0, 4.0])
     assert fire_masks(line, Model(ANYWHERE), range(3))(1) == [
         (Point(-1.0), 0b001), (Point(0.0), 0b011), (Point(3.0), 0b100)]
+    # a right-edge center past the float range stops at the most negative
+    # float, where the fire covers everything the slid fire covered
+    far = Instance.line([-1.5e308, -1.4e308, 1e308], rates=(1e308,) * 3)
+    assert fire_masks(far, Model(ANYWHERE), range(3))(1)[:2] == [
+        (Point(-sys.float_info.max), 0b011), (Point(-sys.float_info.max), 0b011)]
+    delta, sched = exact_burning_number(far, Model(ANYWHERE))
+    assert delta == 2 and validate_schedule(far, sched).valid
     plane = Instance.planar([(0, 0), (3, 0), (0, 4)], rates=(2.0, 2.0, 2.0))
     entries = fire_masks(plane, Model(ANYWHERE), range(3))(1)
     assert [c for c, _ in entries] == candidate_centers(plane.points)
