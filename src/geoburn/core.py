@@ -24,9 +24,10 @@ one's (up to ``TOL``), so nearly every such ignition goes.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sized
+from typing import Callable, Iterable, Sized
 
 TOL = 1e-9  # additive tolerance for every containment / coincidence check
 
@@ -51,7 +52,7 @@ def distance(a: Point, b: Point) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Model:
     """Placement model: ``tag`` in {point, anywhere}, ``k`` ignitions per step."""
 
@@ -139,7 +140,7 @@ class BurnSource:
     rate: float = 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BurnSchedule:
     model: Model
     total_steps: int
@@ -160,18 +161,29 @@ def burn_radius(source: BurnSource, total_steps: int) -> float:
     return source.rate * (total_steps - source.step)
 
 
+def _fire(source: BurnSource, step: int) -> tuple[float, float, float]:
+    """``source``'s fire disk at the end of ``step`` as (x, y, reach), reach with +TOL."""
+    return source.center.x, source.center.y, burn_radius(source, step) + TOL
+
+
+def _reached(p: Point, fires: Iterable[tuple[float, float, float]]) -> bool:
+    """The one burn test: some fire disk (x, y, reach) of ``fires`` holds ``p``."""
+    x, y = p.x, p.y
+    for cx, cy, reach in fires:
+        if math.hypot(x - cx, y - cy) <= reach:
+            return True
+    return False
+
+
 def burns(source: BurnSource, p: Point, step: int) -> bool:
-    """The one burn test: ``source``'s fire disk at the end of ``step`` holds ``p``."""
-    c = source.center  # distance(p, c), inlined: validation runs this per pair
-    return math.hypot(p.x - c.x, p.y - c.y) <= burn_radius(source, step) + TOL
+    """Whether ``source``'s fire disk at the end of ``step`` holds ``p``."""
+    return _reached(p, (_fire(source, step),))
 
 
 def is_burned(p: Point, schedule: BurnSchedule) -> bool:
     """Whether ``p`` lies in some source's final fire disk (closed, +TOL)."""
-    for s in schedule.sources:
-        if burns(s, p, schedule.total_steps):
-            return True
-    return False
+    T = schedule.total_steps
+    return _reached(p, (_fire(s, T) for s in schedule.sources))
 
 
 def check_epsilon(epsilon: float) -> None:
@@ -180,7 +192,7 @@ def check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must be positive with 2 / epsilon finite, got {epsilon!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GuessEntry:
     """One guess of the solvers' outer loop.
 
@@ -234,7 +246,7 @@ class Violation:
     message: str
 
 
-@dataclass
+@dataclass(slots=True)
 class ValidationReport:
     """Outcome of validate_schedule.
 
@@ -262,29 +274,32 @@ class ValidationReport:
 
 
 def _match_sources_to_points(inst: Instance, sched: BurnSchedule, report: ValidationReport) -> None:
-    # each point-model source must sit on its own instance point (within TOL)
+    # each point-model source must sit on its own instance point (within
+    # TOL): the lowest-index one not yet taken.  Points are indexed by x
+    # once; a point within TOL of a source lies inside the source's x
+    # window of 2 TOL each way (rounding is monotone), so only that window
+    # is tested.
+    xs = [p.x for p in inst.points]
+    order = sorted(range(len(xs)), key=xs.__getitem__)
+    xs = [xs[i] for i in order]
     taken: set[int] = set()
     for s in sched.sources:
-        hit = None
-        dup_only = False
-        for i, p in enumerate(inst.points):
-            if distance(p, s.center) <= TOL:
-                if i in taken:
-                    dup_only = True
-                else:
-                    hit = i
-                    break
-        if hit is not None:
-            taken.add(hit)
-        elif dup_only:
+        c = s.center
+        lo = bisect.bisect_left(xs, c.x - 2 * TOL)
+        hi = bisect.bisect_right(xs, c.x + 2 * TOL)
+        near = [i for i in order[lo:hi] if distance(inst.points[i], c) <= TOL]
+        free = [i for i in near if i not in taken]
+        if free:
+            taken.add(min(free))
+        elif near:
             report.violations.append(Violation(
                 "duplicate-instance-point",
-                f"two sources ignite the instance point at ({s.center.x}, {s.center.y})",
+                f"two sources ignite the instance point at ({c.x}, {c.y})",
             ))
         else:
             report.violations.append(Violation(
                 "off-instance-point",
-                f"source at ({s.center.x}, {s.center.y}) matches no instance point",
+                f"source at ({c.x}, {c.y}) matches no instance point",
             ))
 
 
@@ -342,8 +357,8 @@ def validate_schedule(inst: Instance, sched: BurnSchedule) -> ValidationReport:
     ok_structure = not report.violations
     if ok_structure:
         index = _shared_indices(len(inst.points))
-        for i, p in enumerate(inst.points):
-            if not is_burned(p, sched):
-                report.unburned.append(index[i])
+        fires = [_fire(s, T) for s in sched.sources]
+        report.unburned = [index[i] for i, p in enumerate(inst.points)
+                           if not _reached(p, fires)]
     report.valid = not report.violations and not report.unburned
     return report

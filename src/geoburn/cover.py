@@ -106,19 +106,27 @@ def coverage_mask(center: Point, radius: float, points: Sequence[Point]) -> int:
     return coverage_masks((center,), radius, points)[0]
 
 
-def coverage_masks(centers: Sequence[Point], radius: float,
-                   points: Sequence[Point]) -> list[int]:
+def _coords(points: Sequence[Point] | np.ndarray) -> np.ndarray:
+    """Points as an (m, 2) float array; such an array passes straight through."""
+    if isinstance(points, np.ndarray):
+        return points
+    return np.array([[p.x for p in points], [p.y for p in points]], dtype=float).T
+
+
+def coverage_masks(centers: Sequence[Point] | np.ndarray, radius: float,
+                   points: Sequence[Point] | np.ndarray) -> list[int]:
     """coverage_mask for many centers at once, vectorized.
 
-    The test is d^2 <= (radius + TOL)^2, and an infinite radius covers all.
+    Centers and points are Point sequences or (m, 2) float arrays.  The
+    test is d^2 <= (radius + TOL)^2, and an infinite radius covers all.
     Past 2^500 it is hypot(dx, dy) <= radius + TOL, which cannot overflow or
     underflow; an overflowed difference lies beyond every finite bound.
     """
     bound = radius + TOL
     if bound == math.inf:
         return [(1 << len(points)) - 1] * len(centers)
-    C = np.array([(c.x, c.y) for c in centers], dtype=float).reshape(-1, 2)
-    P = np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
+    C = _coords(centers)
+    P = _coords(points)
     if max(bound, np.abs(C).max(initial=0.0), np.abs(P).max(initial=0.0)) > 2.0 ** 500:
         with np.errstate(over="ignore"):
             hit = np.hypot(C[:, None, 0] - P[None, :, 0],
@@ -143,26 +151,29 @@ def fire_masks(inst: Instance, model: Model, sources: Sequence[int]
     stopped there covers a superset).
     """
     pts = inst.points
+    P = _coords(pts)
     if model.tag == POINT:
         by_rate: dict[float, list[int]] = {}
         for i in sources:
             by_rate.setdefault(inst.rates[i], []).append(i)
+        groups = [(rate, group, P[group]) for rate, group in by_rate.items()]
 
         def build(rho: int) -> list[tuple[object, int]]:
             mask_of: dict[int, int] = {}
-            for rate, group in by_rate.items():
-                mask_of.update(zip(group, coverage_masks(
-                    [pts[i] for i in group], rate * rho, pts)))
+            for rate, group, C in groups:
+                mask_of.update(zip(group, coverage_masks(C, rate * rho, P)))
             return [(i, mask_of[i]) for i in sources]
     else:
         rate = inst.rates[0] if inst.rates else 1.0
         base = candidate_centers(pts) if inst.dimension == 2 else None
+        B = None if base is None else _coords(base)
 
         def build(rho: int) -> list[tuple[object, int]]:
             radius = rate * rho
-            cs = base if base is not None else [
-                Point(max(p.x - radius, -sys.float_info.max), 0.0) for p in pts]
-            return list(zip(cs, coverage_masks(cs, radius, pts)))
+            if base is not None:
+                return list(zip(base, coverage_masks(B, radius, P)))
+            cs = [Point(max(p.x - radius, -sys.float_info.max), 0.0) for p in pts]
+            return list(zip(cs, coverage_masks(cs, radius, P)))
     return cache(build)
 
 

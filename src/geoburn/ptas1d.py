@@ -39,6 +39,7 @@ from geoburn.core import (
     Point,
     check_epsilon,
 )
+from geoburn.oracle import DEFAULT_NODE_BUDGET, CapacityError
 
 
 @dataclass(frozen=True)
@@ -89,8 +90,20 @@ def cover_line(xs: list[float], spec: GroupSpec, point_model: bool
     (len(xs), sizes) then takes at each step the first group, larger radii
     first, whose move lands within what the balls left cover, which is
     the first success of the backtracking sweep in that order.  Returns
-    (center, radius) placements.
+    (center, radius) placements.  Raises CapacityError, before building
+    anything, when the table would hold more than the oracles' default
+    node budget of entries (in the exact regime it holds 2^delta).
     """
+    sizes = spec.sizes
+    g = len(sizes)
+    strides = []
+    total = 1
+    for size in sizes:
+        strides.append(total)
+        total *= size + 1
+    if total > DEFAULT_NODE_BUDGET:
+        raise CapacityError(
+            f"line table of {total} entries exceeds the budget of {DEFAULT_NODE_BUDGET}")
     n = len(xs)
     arr = np.asarray(xs, dtype=float)
     radii = np.asarray(spec.radii, dtype=float)[:, None]
@@ -104,13 +117,6 @@ def cover_line(xs: list[float], spec: GroupSpec, point_model: bool
     reach = [np.bincount(row, minlength=n + 1).cumsum().tolist()
              for row in after]
 
-    sizes = spec.sizes
-    g = len(sizes)
-    strides = []
-    total = 1
-    for size in sizes:
-        strides.append(total)
-        total *= size + 1
     cov = [0] * total
     digits = [0] * g
     for idx in range(1, total):

@@ -2,12 +2,13 @@
 
 import math
 import random
+import tracemalloc
 from bisect import bisect_left
 
 import pytest
 
 from geoburn.core import ANYWHERE, POINT, TOL, Instance, Model, validate_schedule
-from geoburn.oracle import exact_burning_number
+from geoburn.oracle import CapacityError, exact_burning_number
 from geoburn.ptas1d import GroupSpec, build_groups, cover_line, ptas_burning_line
 
 
@@ -140,6 +141,21 @@ def test_exact_regime_long_line_frozen():
     assert horizon == 18
     assert len(sched.sources) == 16
     assert validate_schedule(inst, sched).valid
+
+
+def test_table_past_the_node_budget_raises_before_allocating():
+    # exact regime at delta = 21: the table would hold 2^21 entries, over
+    # the default node budget; it is refused before anything is built
+    rng = random.Random(1)
+    xs = sorted(rng.uniform(0, 300) for _ in range(200))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            cover_line(xs, build_groups(21, 40), False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # a 2^21-entry list alone is 16 MB
 
 
 def test_rejects_then_accepts_frozen():
