@@ -71,12 +71,8 @@ def run_suite(suite: str, trials: int, seed: int, epsilon: float = 1.0) -> list[
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if suite == "ptas1d":
-        rows = _ptas1d(trials, seed, epsilon)
-    elif suite == "burn2d":
-        rows = _burn2d(trials, seed, epsilon)
-    elif suite == "maxburn":
-        rows = _maxburn(trials, seed)
-    else:
+    if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    return sorted(rows)
+    if suite == "maxburn":
+        return sorted(_maxburn(trials, seed))
+    return sorted((_ptas1d if suite == "ptas1d" else _burn2d)(trials, seed, epsilon))

@@ -28,6 +28,8 @@ With strict_oracle the guesses use exact minimum covers / dominating sets
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import or_
 
 from geoburn.core import (
     ANYWHERE,
@@ -37,6 +39,7 @@ from geoburn.core import (
     GuessTrace,
     Instance,
     Model,
+    burn_masks,
     burns,
     check_epsilon,
 )
@@ -151,8 +154,7 @@ def point_burning(inst: Instance, epsilon: float = 1.0, *,
     extra = _iceil(ANNULUS_INNER_FRACTION * delta * (1.0 + epsilon))
     horizon = m + extra
     sources = [BurnSource(c, step, rate) for step, c in enumerate(centers, start=1)]
-    burned = {i for i, p in enumerate(pts)
-              if any(burns(fire, p, horizon) for fire in sources)}
+    burnt = reduce(or_, burn_masks(sources, horizon, pts), 0)
 
     # fires younger than delta leave an outer annulus: patch each occupied
     # thirteenth-sector by igniting its lowest-index leftover point
@@ -161,8 +163,8 @@ def point_burning(inst: Instance, epsilon: float = 1.0, *,
     for c in centers[m - late_count:m]:
         for zone in range(ZONE_COUNT):
             for i, p in enumerate(pts):
-                if i not in burned and zone_of(p, c, delta * rate) == zone:
-                    burned.add(i)  # its patch fire burns it
+                if not burnt >> i & 1 and zone_of(p, c, delta * rate) == zone:
+                    burnt |= 1 << i  # its patch fire burns it
                     reps.append(i)
                     break
     assert len(reps) <= extra, "annulus fires ran past the horizon"
@@ -177,28 +179,18 @@ def point_burning(inst: Instance, epsilon: float = 1.0, *,
 def _drop_burnt_ignitions(points, horizon: int,
                           sources: list[BurnSource]) -> list[BurnSource]:
     # Drop every source (given in step order) whose point an earlier kept
-    # fire has reached by its ignition step, by the validator's test:
-    # within that fire's rate * (step gap) + TOL, when that earlier fire
-    # alone burns every point the dropped one would.  The horizon and
-    # the other steps stay.  The drop is checked point by point with the
-    # burn test, which assumes nothing about the rates: a source whose
-    # drop would lose a point is kept.  Under one uniform rate the
-    # triangle inequality puts the dropped fire's final disk inside the
-    # earlier one's, up to the TOL overshoot of the centers' distance (a
-    # point the dropped fire burns at +TOL may lie up to 2 TOL outside
-    # the earlier disk), so nearly every such source goes.  A faster
-    # later fire can reach beyond the earlier one and is then kept.
-    kept: list[BurnSource] = []
-    for s in sources:
-        burnt_by = [e for e in kept if e.step < s.step
-                    and burns(e, s.center, s.step)]
-        if burnt_by:
-            mine = [p for p in points if burns(s, p, horizon)]
-            if any(all(burns(e, p, horizon) for p in mine)
-                   for e in burnt_by):
-                continue
-        kept.append(s)
-    return kept
+    # fire has burnt by its ignition step, when that fire's final burn
+    # mask holds the dropped one's; the horizon and other steps stay.
+    # The subset test assumes nothing about the rates, so a faster later
+    # fire that reaches beyond the earlier one is kept.  Under one rate
+    # the triangle inequality nests the disks up to 2 TOL, so nearly
+    # every such source goes.
+    kept: list[tuple[BurnSource, int]] = []
+    for s, mine in zip(sources, burn_masks(sources, horizon, points)):
+        if not any(mine & ~theirs == 0 and e.step < s.step and burns(e, s.center, s.step)
+                   for e, theirs in kept):
+            kept.append((s, mine))
+    return [s for s, _ in kept]
 
 
 def k_burning_nonuniform(inst: Instance, k: int = 1, epsilon: float = 1.0, *,
@@ -242,9 +234,8 @@ def k_burning_nonuniform(inst: Instance, k: int = 1, epsilon: float = 1.0, *,
                for j, i in enumerate(order)]
     # a dominator e of p satisfies d(p, e) <= (delta-1)(r_e + r_p)/2, and
     # its fire gets at least h (delta - 1) steps: r_e h >= (r_e + r_p)/2
-    for p in pts:
-        assert any(burns(s, p, horizon) for s in sources), \
-            "dominating fire fails to reach a point"
+    assert reduce(or_, burn_masks(sources, horizon, pts), 0) == (1 << inst.n) - 1, \
+        "dominating fire fails to reach a point"
     sources = _drop_burnt_ignitions(pts, horizon, sources)
     return horizon, BurnSchedule(model, horizon, tuple(sources)), trace
 

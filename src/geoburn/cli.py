@@ -42,7 +42,6 @@ from .hardness import (
 )
 from .ioformats import (
     GENERATOR_KINDS,
-    ParseError,
     generate,
     parse_instance,
     parse_lsat,
@@ -331,16 +330,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except PairingError as exc:
+    except (PairingError, InfeasibleError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InfeasibleError, CapacityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:

@@ -5,6 +5,12 @@ ignited at step ``i`` with spread rate ``r`` has fire radius ``r * (T - i)``
 once ``T`` steps have elapsed.  A point is burned iff some source's final
 radius reaches it (closed disks, additive tolerance ``TOL``).
 
+One predicate decides "burns" everywhere: a fire at (cx, cy) with reach
+``radius + TOL`` holds (px, py) iff ``math.hypot(px - cx, py - cy) <=
+reach``.  ``burns`` and ``is_burned`` make that test one pair at a time,
+``within`` over arrays, and ``reach_masks`` turns it into coverage bitmasks
+for the validator, the fire masks of ``cover`` and the pipelines.
+
 Two placement models:
 
 * ``point``    -- sources must be distinct input points, each unburnt at its
@@ -27,7 +33,11 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sized
+from functools import reduce
+from operator import or_
+from typing import Callable, Sequence, Sized
+
+import numpy as np
 
 TOL = 1e-9  # additive tolerance for every containment / coincidence check
 
@@ -161,29 +171,69 @@ def burn_radius(source: BurnSource, total_steps: int) -> float:
     return source.rate * (total_steps - source.step)
 
 
-def _fire(source: BurnSource, step: int) -> tuple[float, float, float]:
-    """``source``'s fire disk at the end of ``step`` as (x, y, reach), reach with +TOL."""
-    return source.center.x, source.center.y, burn_radius(source, step) + TOL
+def _settle(d2: np.ndarray, reach: np.ndarray, exact: Callable[[tuple], bool]) -> np.ndarray:
+    # the squares decide outside a band 16 ulps wide around reach^2, where
+    # their rounding cannot flip hypot's verdict; exact(index) decides in
+    # it, and wherever reach lies outside [2^-480, 2^480] so that a square
+    # could overflow or lose bits (an overflowed d2 is beyond other reaches)
+    safe = (reach >= 2.0 ** -480) & (reach <= 2.0 ** 480)
+    r2 = reach * reach
+    hit = d2 < np.where(safe, r2 * (1.0 - 2.0 ** -48), -math.inf)
+    maybe = d2 <= np.where(safe, r2 * (1.0 + 2.0 ** -48), math.inf)
+    if np.count_nonzero(hit) != np.count_nonzero(maybe):
+        for k in zip(*np.nonzero(maybe & ~hit)):
+            hit[k] = exact(k)
+    return hit
 
 
-def _reached(p: Point, fires: Iterable[tuple[float, float, float]]) -> bool:
-    """The one burn test: some fire disk (x, y, reach) of ``fires`` holds ``p``."""
-    x, y = p.x, p.y
-    for cx, cy, reach in fires:
-        if math.hypot(x - cx, y - cy) <= reach:
-            return True
-    return False
+def within(dx, dy, reach) -> np.ndarray:
+    """``math.hypot(dx, dy) <= reach`` elementwise over broadcast arrays, exactly."""
+    dx, dy, reach = (np.asarray(a, dtype=float) for a in (dx, dy, reach))
+
+    def exact(k: tuple) -> bool:
+        x, y, r = np.broadcast_arrays(dx, dy, reach)
+        return math.hypot(x[k], y[k]) <= r[k]
+
+    with np.errstate(over="ignore"):
+        return _settle(dx * dx + dy * dy, reach, exact)
+
+
+def _coords(points: Sequence[Point] | np.ndarray) -> np.ndarray:
+    """Points as an (m, 2) float array; such an array passes straight through."""
+    if isinstance(points, np.ndarray):
+        return points
+    return np.array([[p.x for p in points], [p.y for p in points]], dtype=float).T
+
+
+def reach_masks(centers: Sequence[Point] | np.ndarray, reaches: Sequence[float] | np.ndarray,
+                points: Sequence[Point] | np.ndarray) -> list[int]:
+    """Per center, the bitmask of the points ``within`` its reach (radius + TOL).
+
+    Centers and points are Point sequences or (m, 2) float arrays.
+    """
+    C, P, R = _coords(centers), _coords(points), np.asarray(reaches, dtype=float)[:, None]
+    with np.errstate(over="ignore"):
+        # one expression, so that numpy reuses its temporaries
+        d2 = (P[None, :, 0] - C[:, None, 0]) ** 2 + (P[None, :, 1] - C[:, None, 1]) ** 2
+        hit = _settle(d2, R, lambda k: math.hypot(*(P[k[1]] - C[k[0]])) <= R[k[0], 0])
+    packed = np.packbits(hit, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def burn_masks(sources: Sequence[BurnSource], step: int, points: Sequence[Point]) -> list[int]:
+    """Per source, the bitmask of the points its fire disk at the end of ``step`` holds."""
+    return reach_masks([s.center for s in sources],
+                       [burn_radius(s, step) + TOL for s in sources], points)
 
 
 def burns(source: BurnSource, p: Point, step: int) -> bool:
-    """Whether ``source``'s fire disk at the end of ``step`` holds ``p``."""
-    return _reached(p, (_fire(source, step),))
+    """Whether ``source``'s fire disk at the end of ``step`` holds ``p``: the one burn test."""
+    return distance(p, source.center) <= burn_radius(source, step) + TOL
 
 
 def is_burned(p: Point, schedule: BurnSchedule) -> bool:
     """Whether ``p`` lies in some source's final fire disk (closed, +TOL)."""
-    T = schedule.total_steps
-    return _reached(p, (_fire(s, T) for s in schedule.sources))
+    return any(burns(s, p, schedule.total_steps) for s in schedule.sources)
 
 
 def check_epsilon(epsilon: float) -> None:
@@ -262,8 +312,7 @@ class ValidationReport:
     def summary(self) -> str:
         if self.valid and not self.warnings:
             return "valid"
-        parts = []
-        parts.append("valid" if self.valid else "INVALID")
+        parts = ["valid" if self.valid else "INVALID"]
         if self.unburned:
             parts.append(f"{len(self.unburned)} unburned: {self.unburned}")
         for v in self.violations:
@@ -345,20 +394,17 @@ def validate_schedule(inst: Instance, sched: BurnSchedule) -> ValidationReport:
         ordered = sorted(sched.sources, key=lambda s: s.step)
         for i, s in enumerate(ordered):
             for earlier in ordered[:i]:
-                if earlier.step >= s.step:
-                    continue
-                if burns(earlier, s.center, s.step):
+                if earlier.step < s.step and burns(earlier, s.center, s.step):
                     report.warnings.append(Violation(
                         "ignite-burnt-point",
                         f"source at ({s.center.x}, {s.center.y}) step {s.step} "
                         f"already burnt by step-{earlier.step} fire"))
                     break
 
-    ok_structure = not report.violations
-    if ok_structure:
-        index = _shared_indices(len(inst.points))
-        fires = [_fire(s, T) for s in sched.sources]
-        report.unburned = [index[i] for i, p in enumerate(inst.points)
-                           if not _reached(p, fires)]
+    if not report.violations:
+        n = len(inst.points)
+        burnt = reduce(or_, burn_masks(sched.sources, T, inst.points), 0)
+        bits, index = f"{burnt:0{n}b}"[::-1][:n], _shared_indices(n)  # bit i at [i]
+        report.unburned = [index[i] for i, b in enumerate(bits) if b == "0"]
     report.valid = not report.violations and not report.unburned
     return report

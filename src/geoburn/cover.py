@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from geoburn.core import POINT, TOL, Instance, Model, Point, distance
+from geoburn.core import POINT, TOL, Instance, Model, Point, _coords, distance, reach_masks
 
 # Five disks of this radius, centered at the template coordinates below,
 # cover the closed unit disk.  The coordinates come from an offline
@@ -106,36 +106,14 @@ def coverage_mask(center: Point, radius: float, points: Sequence[Point]) -> int:
     return coverage_masks((center,), radius, points)[0]
 
 
-def _coords(points: Sequence[Point] | np.ndarray) -> np.ndarray:
-    """Points as an (m, 2) float array; such an array passes straight through."""
-    if isinstance(points, np.ndarray):
-        return points
-    return np.array([[p.x for p in points], [p.y for p in points]], dtype=float).T
-
-
-def coverage_masks(centers: Sequence[Point] | np.ndarray, radius: float,
+def coverage_masks(centers: Sequence[Point] | np.ndarray, radius: float | np.ndarray,
                    points: Sequence[Point] | np.ndarray) -> list[int]:
-    """coverage_mask for many centers at once, vectorized.
+    """coverage_mask for many centers at once: ``core.reach_masks`` at reach radius + TOL.
 
-    Centers and points are Point sequences or (m, 2) float arrays.  The
-    test is d^2 <= (radius + TOL)^2, and an infinite radius covers all.
-    Past 2^500 it is hypot(dx, dy) <= radius + TOL, which cannot overflow or
-    underflow; an overflowed difference lies beyond every finite bound.
+    Centers and points are Point sequences or (m, 2) float arrays; the
+    radius is one for all centers or an array of one per center.
     """
-    bound = radius + TOL
-    if bound == math.inf:
-        return [(1 << len(points)) - 1] * len(centers)
-    C = _coords(centers)
-    P = _coords(points)
-    if max(bound, np.abs(C).max(initial=0.0), np.abs(P).max(initial=0.0)) > 2.0 ** 500:
-        with np.errstate(over="ignore"):
-            hit = np.hypot(C[:, None, 0] - P[None, :, 0],
-                           C[:, None, 1] - P[None, :, 1]) <= bound
-    else:
-        hit = ((C[:, None, 0] - P[None, :, 0]) ** 2
-               + (C[:, None, 1] - P[None, :, 1]) ** 2) <= bound ** 2
-    packed = np.packbits(hit, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    return reach_masks(centers, np.full(len(centers), radius + TOL), points)
 
 
 def fire_masks(inst: Instance, model: Model, sources: Sequence[int]
@@ -153,16 +131,10 @@ def fire_masks(inst: Instance, model: Model, sources: Sequence[int]
     pts = inst.points
     P = _coords(pts)
     if model.tag == POINT:
-        by_rate: dict[float, list[int]] = {}
-        for i in sources:
-            by_rate.setdefault(inst.rates[i], []).append(i)
-        groups = [(rate, group, P[group]) for rate, group in by_rate.items()]
+        C, rates = P[list(sources)], np.array([inst.rates[i] for i in sources])
 
         def build(rho: int) -> list[tuple[object, int]]:
-            mask_of: dict[int, int] = {}
-            for rate, group, C in groups:
-                mask_of.update(zip(group, coverage_masks(C, rate * rho, P)))
-            return [(i, mask_of[i]) for i in sources]
+            return list(zip(sources, coverage_masks(C, rates * rho, P)))
     else:
         rate = inst.rates[0] if inst.rates else 1.0
         base = candidate_centers(pts) if inst.dimension == 2 else None
@@ -493,17 +465,18 @@ def _cells_certified(r1, r2, t1, t2, centers, radius):
     return ok
 
 
+def _nearest2(x, y, centers) -> np.ndarray:
+    # squared distance from each (x, y) to its nearest center
+    g2 = np.full(np.shape(x), math.inf)
+    for cx, cy in centers:
+        np.minimum(g2, (x - cx) ** 2 + (y - cy) ** 2, out=g2)
+    return g2
+
+
 def _corner_uncovered(r1, r2, t1, t2, centers, radius) -> bool:
     # a sampled cell corner farther than `radius` from every center refutes
-    for rr, tt in ((r1, t1), (r1, t2), (r2, t1), (r2, t2)):
-        x, y = rr * np.cos(tt), rr * np.sin(tt)
-        g2 = None
-        for cx, cy in centers:
-            d2 = (x - cx) ** 2 + (y - cy) ** 2
-            g2 = d2 if g2 is None else np.minimum(g2, d2)
-        if (g2 > radius * radius).any():
-            return True
-    return False
+    return any((_nearest2(rr * np.cos(tt), rr * np.sin(tt), centers) > radius * radius).any()
+               for rr, tt in ((r1, t1), (r1, t2), (r2, t1), (r2, t2)))
 
 
 def verify_template(centers: Sequence[tuple[float, float]], radius: float,
@@ -571,12 +544,7 @@ def sample_covering_radius(centers: Sequence[tuple[float, float]],
     rr = np.linspace(0.0, 1.0, n_radial + 1)
     tt = np.linspace(0.0, 2.0 * math.pi, n_angular, endpoint=False)
     R, T = np.meshgrid(rr, tt, indexing="ij")
-    x, y = R * np.cos(T), R * np.sin(T)
-    g2 = None
-    for cx, cy in centers:
-        d2 = (x - cx) ** 2 + (y - cy) ** 2
-        g2 = d2 if g2 is None else np.minimum(g2, d2)
-    return float(np.sqrt(g2.max()))
+    return float(np.sqrt(_nearest2(R * np.cos(T), R * np.sin(T), centers).max()))
 
 
 def max_coverage_groups(groups: Sequence[Sequence[int]],

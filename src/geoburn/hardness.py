@@ -93,15 +93,11 @@ class SeparationReport:
     worst: str
 
 
-def _intersections(clauses) -> list[tuple[int, int, int]]:
-    # (i, j, shared literal) for each intersecting clause pair, i < j
-    out = []
-    for i, ci in enumerate(clauses):
-        for j in range(i + 1, len(clauses)):
-            shared = set(ci) & set(clauses[j])
-            if shared:
-                out.append((i, j, min(shared)))
-    return out
+def _intersections(clauses) -> list[tuple[int, int, set[int]]]:
+    # (i, j, shared literals) for each intersecting clause pair, i < j
+    pairs = ((i, j, set(clauses[i]) & set(clauses[j]))
+             for i, j in itertools.combinations(range(len(clauses)), 2))
+    return [pair for pair in pairs if pair[2]]
 
 
 def validate_lsat(formula: LsatFormula) -> tuple[bool, str]:
@@ -125,19 +121,13 @@ def validate_lsat(formula: LsatFormula) -> tuple[bool, str]:
         if len(set(clause)) != len(clause):
             return False, f"clause {ci}: repeated literal"
     partner: dict[int, int] = {}
-    for i, ci in enumerate(formula.clauses):
-        for j in range(i + 1, len(formula.clauses)):
-            shared = set(ci) & set(formula.clauses[j])
-            if not shared:
-                continue
-            if len(shared) > 1:
-                return False, f"clauses {i} and {j}: share {len(shared)} literals"
-            if i in partner:
-                return False, f"clause {i}: intersects clauses {partner[i]} and {j}"
-            if j in partner:
-                return False, f"clause {j}: intersects clauses {partner[j]} and {i}"
-            partner[i] = j
-            partner[j] = i
+    for i, j, shared in _intersections(formula.clauses):
+        if len(shared) > 1:
+            return False, f"clauses {i} and {j}: share {len(shared)} literals"
+        for a, b in ((i, j), (j, i)):
+            if a in partner:
+                return False, f"clause {a}: intersects clauses {partner[a]} and {b}"
+            partner[a] = b
     present = {lit for clause in formula.clauses for lit in clause}
     absent = [lit for v in range(1, n + 1) for lit in (v, -v)
               if lit not in present]
@@ -158,7 +148,7 @@ def relabel_variables(formula: LsatFormula) -> dict[int, int]:
     heavy = []
     for i, j, s in _intersections(formula.clauses):
         if len(formula.clauses[i]) == 3 and len(formula.clauses[j]) == 3:
-            heavy.append(s)
+            heavy.append(min(s))
     assert 5 * len(heavy) <= 2 * n, "heavy literal bound violated"
     labels: dict[int, int] = {}
     for v in sorted({abs(s) for s in heavy}):
@@ -199,8 +189,8 @@ def build_reduction(formula: LsatFormula) -> tuple[Instance, ReductionLayout]:
 
     paired: dict[int, tuple[int, int]] = {}
     for i, j, s in _intersections(formula.clauses):
-        paired[i] = (j, s)
-        paired[j] = (i, s)
+        paired[i] = (j, min(s))
+        paired[j] = (i, min(s))
     elements: list[tuple] = []
     seen: set[int] = set()
     for i in range(m):
@@ -302,24 +292,16 @@ def check_separation(layout: ReductionLayout) -> SeparationReport:
     minimum slack over all pairs; the layout is sound when it is
     strictly positive.
     """
-    best = math.inf
-    worst = ""
-    for lit, ti in layout.tail_points.items():
-        bound = layout.span(lit) + 1
-        for other, zi in layout.literal_points.items():
-            if other == lit:
-                continue
-            slack = distance(layout.points[ti], layout.points[zi]) - bound
-            if slack < best:
-                best, worst = slack, f"tail {lit} near literal {other}"
-    for lit, zi in layout.literal_points.items():
-        bound = layout.span(lit) + 1
-        for other, ti in layout.tail_points.items():
-            if other == lit:
-                continue
-            slack = distance(layout.points[zi], layout.points[ti]) - bound
-            if slack < best:
-                best, worst = slack, f"literal {lit} near tail {other}"
+    best, worst = math.inf, ""
+    for mine, theirs, kind, their_kind in (
+            (layout.tail_points, layout.literal_points, "tail", "literal"),
+            (layout.literal_points, layout.tail_points, "literal", "tail")):
+        for lit, a in mine.items():
+            bound = layout.span(lit) + 1
+            for other, b in theirs.items():
+                slack = distance(layout.points[a], layout.points[b]) - bound
+                if other != lit and slack < best:
+                    best, worst = slack, f"{kind} {lit} near {their_kind} {other}"
     return SeparationReport(best > 0.0, best, worst)
 
 

@@ -121,7 +121,7 @@ def parse_instance(text: str) -> Instance:
     pts: list[tuple[Point, float, int]] = []  # point, rate, line number
     raw_sources: list[int] | None = None
     sources_line = 0
-    singles = {"dim": False, "name": False, "seed": False, "sources": False}
+    seen: set[str] = set()  # keywords met so far; all but 'point' come once
 
     for no, line in _lines(text):
         if not header_seen:
@@ -131,10 +131,9 @@ def parse_instance(text: str) -> Instance:
             continue
         key, _, rest = line.partition(" ")
         fields = rest.split()
-        if key in singles:
-            if singles[key]:
-                raise ParseError(no, f"duplicate '{key}' line")
-            singles[key] = True
+        if key in seen and key != "point":
+            raise ParseError(no, f"duplicate '{key}' line")
+        seen.add(key)
         if key == "dim":
             dim = _int(rest.strip(), no, "dimension")
             if dim not in (1, 2):
@@ -231,6 +230,7 @@ def parse_schedule(text: str) -> BurnSchedule:
     k: int | None = None
     steps: int | None = None
     srcs: list[BurnSource] = []
+    seen: set[str] = set()  # keywords met so far; all but 'source' come once
 
     for no, line in _lines(text):
         if not header_seen:
@@ -240,21 +240,18 @@ def parse_schedule(text: str) -> BurnSchedule:
             continue
         key, _, rest = line.partition(" ")
         fields = rest.split()
+        if key in seen and key != "source":
+            raise ParseError(no, f"duplicate '{key}' line")
+        seen.add(key)
         if key == "model":
-            if tag is not None:
-                raise ParseError(no, "duplicate 'model' line")
             tag = rest.strip()
             if tag not in (POINT, ANYWHERE):
                 raise ParseError(no, f"model must be '{POINT}' or '{ANYWHERE}'")
         elif key == "k":
-            if k is not None:
-                raise ParseError(no, "duplicate 'k' line")
             k = _int(rest.strip(), no, "k")
             if k < 1:
                 raise ParseError(no, f"k must be >= 1, got {k}")
         elif key == "steps":
-            if steps is not None:
-                raise ParseError(no, "duplicate 'steps' line")
             steps = _int(rest.strip(), no, "step count")
             if steps < 0:
                 raise ParseError(no, f"step count must be >= 0, got {steps}")

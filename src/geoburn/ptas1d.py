@@ -23,7 +23,7 @@ exact; the horizon formula keeps using the nominal t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from geoburn.core import (
     Model,
     Point,
     check_epsilon,
+    within,
 )
 from geoburn.oracle import DEFAULT_NODE_BUDGET, CapacityError
 
@@ -75,14 +76,31 @@ def build_groups(delta: int, t: int) -> GroupSpec:
     return GroupSpec(delta, t, tuple(sizes), radii)
 
 
+def _first_within(arr: np.ndarray, v: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    # per entry of v, the first index of sorted arr whose point is
+    # ``within`` reach of it: a searchsorted guess, right up to rounding,
+    # moved a run of equal points at a time until it is exact
+    i = np.searchsorted(arr, v - reach)
+    while True:
+        prev, cur = arr[i - 1], arr[np.minimum(i, len(arr) - 1)]  # prev unused at i = 0
+        back = (i > 0) & within(v - prev, 0.0, reach)
+        ahead = (i < len(arr)) & ~back & ~within(v - cur, 0.0, reach)
+        if not (back.any() or ahead.any()):
+            return i
+        i = np.where(back, np.searchsorted(arr, prev), i)
+        i = np.where(ahead, np.searchsorted(arr, cur, side="right"), i)
+
+
 def cover_line(xs: list[float], spec: GroupSpec, point_model: bool
                ) -> list[tuple[float, float]] | None:
     """Cover sorted xs with the grouped radius multiset, or None.
 
     A move of group j places one ball for the rightmost uncovered point
-    xs[p - 1]: the ball ends exactly there (centers free) or sits on the
-    leftmost input point still reaching it (centers on input points), and
-    leaves the prefix after[j][p - 1] uncovered.  cov[U] is the largest
+    xs[p - 1]: the ball ends there (centers free; nudged right until it
+    burns the point) or sits on the leftmost input point reaching it
+    (centers on input points), and leaves the prefix after[j][p - 1]
+    uncovered, all by the validator's burn test (``core.within`` at
+    radius + TOL).  cov[U] is the largest
     prefix that the multiset U of balls (U[j] <= sizes[j], one mixed-radix
     int per U) covers, built up from cov[0] = 0 through reach[j][c], the
     largest prefix whose group-j move lands within c; the guess is
@@ -107,11 +125,15 @@ def cover_line(xs: list[float], spec: GroupSpec, point_model: bool
     n = len(xs)
     arr = np.asarray(xs, dtype=float)
     radii = np.asarray(spec.radii, dtype=float)[:, None]
-    if point_model:
-        centers = arr[np.searchsorted(arr, arr - radii - TOL)]
-    else:
-        centers = arr - radii
-    after = np.searchsorted(arr, centers - radii - TOL)
+    reaches = radii + TOL
+    with np.errstate(over="ignore"):
+        if point_model:
+            centers = arr[_first_within(arr, arr, reaches)]
+        else:
+            centers = arr - radii
+            while not (fit := within(arr - centers, 0.0, reaches)).all():
+                centers = np.where(fit, centers, np.nextafter(centers, math.inf))
+        after = _first_within(arr, centers, reaches)
     # each row of after never decreases, so the count of prefixes whose
     # move lands within c is also the largest of them
     reach = [np.bincount(row, minlength=n + 1).cumsum().tolist()
@@ -167,13 +189,18 @@ def ptas_burning_line(inst: Instance, model: Model | None = None,
     if inst.n == 0:
         return 0, BurnSchedule(model, 0, ()), trace
 
+    # the radii in input units: a fire spreading r steps reaches rate * r
     rate = inst.rates[0]
-    xs = sorted(p.x / rate for p in inst.points)
-    delta, placements = trace.search(
-        lambda d: (cover_line(xs, build_groups(d, t), point_model), float(d)))
+    xs = sorted(p.x for p in inst.points)
+
+    def attempt(d):
+        spec = build_groups(d, t)
+        spec = replace(spec, radii=tuple(rate * r for r in spec.radii))
+        return cover_line(xs, spec, point_model), float(d)
+
+    delta, placements = trace.search(attempt)
     horizon = delta + -(-2 * delta // t)
     placements.sort(key=lambda cr: (-cr[1], cr[0]))
-    sources = tuple(
-        BurnSource(Point(center * rate, 0.0), step, rate)
-        for step, (center, _) in enumerate(placements, start=1))
+    sources = tuple(BurnSource(Point(center, 0.0), step, rate)
+                    for step, (center, _) in enumerate(placements, start=1))
     return horizon, BurnSchedule(model, horizon, sources), trace

@@ -387,6 +387,16 @@ def test_max_burn_frozen():
     assert len(burned) == 3
 
 
+def test_max_burn_count_matches_validator_on_boundary():
+    # the second point lies within an ulp of the rate-3 fire's reach: the
+    # solver, the exact search and the validator decide it by one test
+    inst = Instance.planar([(0.0, 0.0), (-2.9294225391869992, -0.6469030784462196)],
+                           rates=[3.0, 3.0], sources=[0])
+    count, sched = max_burn_schedule(inst, 2)
+    report = validate_schedule(inst, sched)
+    assert count == inst.n - len(report.unburned) == exact_max_burn(inst, 2) == 1
+
+
 def test_max_burn_edge_cases():
     inst = Instance.planar([(0.0, 0.0)], sources=(0,))
     count, sched = max_burn_schedule(inst, 0)

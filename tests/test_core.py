@@ -3,7 +3,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geoburn.core import (
     ANYWHERE,
@@ -14,10 +17,13 @@ from geoburn.core import (
     Instance,
     Model,
     Point,
+    burn_masks,
     burn_radius,
+    burns,
     distance,
     is_burned,
     validate_schedule,
+    within,
 )
 
 
@@ -214,3 +220,54 @@ def test_validation_invariant_under_rigid_motion():
         assert before.valid == after.valid
         assert before.unburned == after.unburned
         assert [v.rule for v in before.violations] == [v.rule for v in after.violations]
+
+
+@st.composite
+def boundary_fires(draw):
+    # fires with rates 1e-9..1e300 at coordinates up to +-1e300, each with
+    # points drawn within 8 ulps of its reach (radius + TOL), some straight
+    # along the x axis and some at an angle
+    sources, points = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        cx, cy = (draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-3, 300))
+                  for _ in range(2))
+        source = BurnSource(Point(cx, cy), 0, 10.0 ** draw(st.floats(-9, 300)))
+        sources.append(source)
+        reach = source.rate + TOL
+        for _ in range(draw(st.integers(1, 4))):
+            k = draw(st.integers(-8, 8))
+            if draw(st.booleans()):
+                x = cx + reach
+                points.append(Point(x + k * math.ulp(x), cy))
+            else:
+                theta = draw(st.floats(0.0, 2.0 * math.pi))
+                r = reach + k * math.ulp(reach)
+                points.append(Point(cx + r * math.cos(theta), cy + r * math.sin(theta)))
+    return sources, points
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(boundary_fires())
+# within an ulp of the rate-3 fire's reach: d^2 <= (3 + TOL)^2 holds, hypot's test does not
+@example(([BurnSource(Point(0.0, 0.0), 0, 3.0)],
+          [Point(-2.9294225391869992, -0.6469030784462196)]))
+def test_burn_masks_match_burns_on_the_boundary(case):
+    sources, points = case
+    for source, mask in zip(sources, burn_masks(sources, 1, points)):
+        assert [bool(mask >> j & 1) for j in range(len(points))] == \
+            [burns(source, p, 1) for p in points]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(
+    st.floats(-320, 308) | st.sampled_from([77.13, 154.127, -153.8, -154.5]),
+    st.floats(0.0, 2.0 * math.pi), st.integers(-8, 8)), min_size=1, max_size=8))
+def test_within_matches_hypot(draws):
+    # reaches from subnormal to near the float range, those whose squares
+    # just overflow or underflow among them, with lengths within 8 ulps
+    reach = np.array([10.0 ** e for e, _, _ in draws])
+    r = [q + k * math.ulp(q) for q, (_, _, k) in zip(reach.tolist(), draws)]
+    dx = np.array([q * math.cos(t) for q, (_, t, _) in zip(r, draws)])
+    dy = np.array([q * math.sin(t) for q, (_, t, _) in zip(r, draws)])
+    assert within(dx, dy, reach).tolist() == \
+        [math.hypot(x, y) <= q for x, y, q in zip(dx.tolist(), dy.tolist(), reach.tolist())]

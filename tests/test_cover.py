@@ -8,7 +8,7 @@ import pytest
 
 from geoburn import burn2d
 from geoburn.burn2d import k_burning_nonuniform
-from geoburn.core import TOL, Instance, Point, distance
+from geoburn.core import TOL, BurnSource, Instance, Point, burns, distance
 from geoburn.cover import (
     _MaskGroups,
     _cover_hole,
@@ -88,6 +88,11 @@ def test_coverage_masks_huge_lengths():
     # at ordinary lengths nothing is rescaled: the boundary stays at +TOL
     assert coverage_masks([Point(0, 0)], 5.0, [Point(3, 4 + 0.9 * TOL),
                                                Point(3, 4 + 2 * TOL)]) == [0b01]
+    # within an ulp of the bound the mask takes burns()' verdict, where
+    # the squared test would burn the point
+    edge = Point(-2.9294225391869992, -0.6469030784462196)
+    assert not burns(BurnSource(Point(0, 0), 1, 3.0), edge, 2)
+    assert coverage_masks([Point(0, 0)], 3.0, [edge]) == [0]
 
 
 def test_greedy_cover_matches_eager_scan():

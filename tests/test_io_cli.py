@@ -1,6 +1,7 @@
 """File formats, generators, SVG rendering, and the command line."""
 
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -261,7 +262,7 @@ def test_cli_gen_solve_validate(tmp_path, capsys):
     assert main(["validate", inst_file, sched_file]) == 0
     assert capsys.readouterr().out.strip() == "valid"
     report = validate_schedule(
-        parse_instance(open(inst_file).read()), parse_schedule(open(sched_file).read())
+        parse_instance(Path(inst_file).read_text()), parse_schedule(Path(sched_file).read_text())
     )
     assert report.valid and not report.violations
 

@@ -147,10 +147,14 @@ def test_burning_number_k_and_rates():
 
 def test_burning_number_witness_is_valid():
     rng = random.Random(321)
-    for _ in range(15):
-        n = rng.randint(1, 9)
-        pts = [(rng.uniform(0, 12), rng.uniform(0, 12)) for _ in range(n)]
-        inst = Instance.planar(pts)
+    instances = [Instance.planar([(rng.uniform(0, 12), rng.uniform(0, 12))
+                                  for _ in range(rng.randint(1, 9))])
+                 for _ in range(15)]
+    # the second point lies within an ulp of the rate-3 fire's reach from
+    # the first: squares burn it, hypot does not, so T = 2 needs two fires
+    instances.append(Instance.planar([(0.0, 0.0), (-2.9294225391869992, -0.6469030784462196)],
+                                     rates=[3.0, 3.0]))
+    for inst in instances:
         for model in (Model(POINT), Model(ANYWHERE), Model(POINT, k=2)):
             T, sched = exact_burning_number(inst, model)
             assert sched.total_steps == T

@@ -5,11 +5,30 @@ import random
 import tracemalloc
 from bisect import bisect_left
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from geoburn.core import ANYWHERE, POINT, TOL, Instance, Model, validate_schedule
+from geoburn.core import (
+    ANYWHERE,
+    POINT,
+    TOL,
+    BurnSource,
+    Instance,
+    Model,
+    Point,
+    burns,
+    validate_schedule,
+)
 from geoburn.oracle import CapacityError, exact_burning_number
-from geoburn.ptas1d import GroupSpec, build_groups, cover_line, ptas_burning_line
+from geoburn.ptas1d import (
+    GroupSpec,
+    _first_within,
+    build_groups,
+    cover_line,
+    ptas_burning_line,
+)
 
 
 def test_build_groups_frozen():
@@ -246,3 +265,46 @@ def test_input_validation():
     with pytest.raises(ValueError):
         ptas_burning_line(Instance.line([0.0, 1.0], rates=(1.0, 2.0)),
                           epsilon=1.0)
+
+
+@st.composite
+def boundary_lines(draw):
+    # sorted points far from the origin, gaps within a few ulps of the reach
+    offset = 10.0 ** draw(st.floats(9, 15.5))
+    radius = draw(st.sampled_from([0.1, 0.3, 1 / 3, 0.7, 7.0])) * draw(st.integers(0, 4))
+    reach = radius + TOL
+    xs = [offset]
+    for _ in range(draw(st.integers(0, 8))):
+        gap = reach if draw(st.booleans()) else reach * draw(st.floats(0.0, 2.0))
+        x = xs[-1] + gap
+        xs.append(x + draw(st.integers(-4, 4)) * math.ulp(x))
+    return sorted(xs), radius
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(boundary_lines())
+def test_first_within_matches_burns(case):
+    # the index searches behind every cover_line move find the first point
+    # that core's burn test puts within reach
+    xs, radius = case
+    arr = np.asarray(xs)
+    got = _first_within(arr, arr[None, :], np.array([[radius + TOL]]))[0]
+    for v, i in zip(xs, got):
+        fire = BurnSource(Point(v, 0.0), 0, radius)
+        assert i == next(j for j, x in enumerate(xs) if burns(fire, Point(x, 0.0), 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([0.1, 0.3, 1 / 3, 7.0]), st.floats(9, 15.5),
+       st.lists(st.floats(0.0, 30.0), min_size=1, max_size=10),
+       st.sampled_from([POINT, ANYWHERE]))
+# x / rate * rate != x: scaled coordinates put this point-model fire at
+# 1000000000.0000001, off its point; the radii now scale by the rate instead
+@example(0.7, 9.0, [0.0, 1.0, 3.0], POINT)
+def test_non_unit_rates_far_from_origin_validate(rate, exponent, gaps, model):
+    xs = sorted({10.0 ** exponent + g * rate for g in gaps})
+    inst = Instance.line(xs, rates=[rate] * len(xs))
+    _, sched, _ = ptas_burning_line(inst, Model(model), 0.5)
+    assert validate_schedule(inst, sched).valid
+    if model == POINT:
+        assert {s.center.x for s in sched.sources} <= set(xs)
