@@ -174,14 +174,14 @@ def burn_radius(source: BurnSource, total_steps: int) -> float:
 def _settle(d2: np.ndarray, reach: np.ndarray, exact: Callable[[tuple], bool]) -> np.ndarray:
     # the squares decide outside a band 16 ulps wide around reach^2, where
     # their rounding cannot flip hypot's verdict; exact(index) decides in
-    # it, and wherever reach lies outside [2^-480, 2^480] so that a square
-    # could overflow or lose bits (an overflowed d2 is beyond other reaches)
-    safe = (reach >= 2.0 ** -480) & (reach <= 2.0 ** 480)
-    r2 = reach * reach
-    hit = d2 < np.where(safe, r2 * (1.0 - 2.0 ** -48), -math.inf)
-    maybe = d2 <= np.where(safe, r2 * (1.0 + 2.0 ** -48), math.inf)
-    if np.count_nonzero(hit) != np.count_nonzero(maybe):
-        for k in zip(*np.nonzero(maybe & ~hit)):
+    # it, and wherever reach lies outside [2^-480, 2^480], where a square
+    # could overflow or lose bits: r2 is NaN there, so neither test holds
+    # (an overflowed d2 lies beyond any other reach)
+    r2 = np.where((reach >= 2.0 ** -480) & (reach <= 2.0 ** 480), reach * reach, np.nan)
+    hit = d2 < r2 * (1.0 - 2.0 ** -48)
+    far = d2 > r2 * (1.0 + 2.0 ** -48)
+    if np.count_nonzero(hit) + np.count_nonzero(far) != hit.size:
+        for k in zip(*np.nonzero(~(hit | far))):
             hit[k] = exact(k)
     return hit
 
