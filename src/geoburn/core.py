@@ -8,8 +8,19 @@ radius reaches it (closed disks, additive tolerance ``TOL``).
 One predicate decides "burns" everywhere: a fire at (cx, cy) with reach
 ``radius + TOL`` holds (px, py) iff ``math.hypot(px - cx, py - cy) <=
 reach``.  ``burns`` and ``is_burned`` make that test one pair at a time,
-``within`` over arrays, and ``reach_masks`` turns it into coverage bitmasks
-for the validator, the fire masks of ``cover`` and the pipelines.
+``within`` over arrays (on a line, where dy is 0, it compares ``abs(dx)``).
+The all-pairs kernel has two steps: ``squared_distances`` computes the
+center-to-point squares in place, and ``reach_hits`` settles them against
+one reach per center, exactly (the squares decide away from the boundary,
+``math.hypot`` near it), into a boolean hit matrix that ``pack_masks``
+turns into bitmasks.  ``reach_masks`` chains the three for the fire masks
+of ``cover`` and the pipelines; ``cover.fire_masks`` computes the squares
+once per table and settles them once per radius.  ``Instance.coords`` is
+the instance's (n, 2) coordinate array, built once per instance, which
+the fire tables and the validator read.  The validator lists as
+``unburned`` the columns of its hit matrix (``burn_hits``) that no fire
+holds, and matches point-model sources to points through the x order of
+``Instance.coords``.
 
 Two placement models:
 
@@ -30,11 +41,9 @@ one's (up to ``TOL``), so nearly every such ignition goes.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import or_
+from functools import cached_property
 from typing import Callable, Sequence, Sized
 
 import numpy as np
@@ -133,6 +142,13 @@ class Instance:
     def n(self) -> int:
         return len(self.points)
 
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """The points as a read-only (n, 2) float array, built once per instance."""
+        P = _coords(self.points)
+        P.flags.writeable = False
+        return P
+
     def uniform_rates(self) -> bool:
         return all(r == self.rates[0] for r in self.rates)
 
@@ -189,6 +205,10 @@ def _settle(d2: np.ndarray, reach: np.ndarray, exact: Callable[[tuple], bool]) -
 def within(dx, dy, reach) -> np.ndarray:
     """``math.hypot(dx, dy) <= reach`` elementwise over broadcast arrays, exactly."""
     dx, dy, reach = (np.asarray(a, dtype=float) for a in (dx, dy, reach))
+    if not dy.any():
+        # math.hypot(d, 0.0) == abs(d), so on a line no band is needed;
+        # dx + dy is dx, broadcast against dy
+        return np.abs(dx + dy) <= reach
 
     def exact(k: tuple) -> bool:
         x, y, r = np.broadcast_arrays(dx, dy, reach)
@@ -205,25 +225,60 @@ def _coords(points: Sequence[Point] | np.ndarray) -> np.ndarray:
     return np.array([[p.x for p in points], [p.y for p in points]], dtype=float).T
 
 
+def squared_distances(C: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """The (m, n) squared distances from centers C (m, 2) to points P (n, 2).
+
+    Computed in place, with the bits of ``dx ** 2 + dy ** 2``; an
+    overflowed square is inf.  ``reach_hits`` settles them against any
+    number of reaches.
+    """
+    with np.errstate(over="ignore"):
+        d2 = P[None, :, 0] - C[:, None, 0]
+        dy = P[None, :, 1] - C[:, None, 1]
+        d2 *= d2
+        dy *= dy
+        d2 += dy
+    return d2
+
+
+def reach_hits(d2: np.ndarray, reaches: Sequence[float] | np.ndarray,
+               C: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """(m, n) booleans: center i's reach holds point j, ``within``'s exact verdict.
+
+    ``d2`` are ``squared_distances(C, P)``; ``reaches`` holds one reach
+    (radius + TOL) per center.
+    """
+    R = np.asarray(reaches, dtype=float)[:, None]
+    with np.errstate(over="ignore"):
+        return _settle(d2, R, lambda k: math.hypot(*(P[k[1]] - C[k[0]])) <= R[k[0], 0])
+
+
+def pack_masks(hits: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as a bitmask, column j at bit j."""
+    packed = np.packbits(hits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def reach_masks(centers: Sequence[Point] | np.ndarray, reaches: Sequence[float] | np.ndarray,
                 points: Sequence[Point] | np.ndarray) -> list[int]:
     """Per center, the bitmask of the points ``within`` its reach (radius + TOL).
 
     Centers and points are Point sequences or (m, 2) float arrays.
     """
-    C, P, R = _coords(centers), _coords(points), np.asarray(reaches, dtype=float)[:, None]
-    with np.errstate(over="ignore"):
-        # one expression, so that numpy reuses its temporaries
-        d2 = (P[None, :, 0] - C[:, None, 0]) ** 2 + (P[None, :, 1] - C[:, None, 1]) ** 2
-        hit = _settle(d2, R, lambda k: math.hypot(*(P[k[1]] - C[k[0]])) <= R[k[0], 0])
-    packed = np.packbits(hit, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    C, P = _coords(centers), _coords(points)
+    return pack_masks(reach_hits(squared_distances(C, P), reaches, C, P))
+
+
+def burn_hits(sources: Sequence[BurnSource], step: int, P: np.ndarray) -> np.ndarray:
+    """``reach_hits`` of the sources' fire disks at the end of ``step`` over points P (n, 2)."""
+    C = _coords([s.center for s in sources])
+    return reach_hits(squared_distances(C, P), [burn_radius(s, step) + TOL for s in sources],
+                      C, P)
 
 
 def burn_masks(sources: Sequence[BurnSource], step: int, points: Sequence[Point]) -> list[int]:
     """Per source, the bitmask of the points its fire disk at the end of ``step`` holds."""
-    return reach_masks([s.center for s in sources],
-                       [burn_radius(s, step) + TOL for s in sources], points)
+    return pack_masks(burn_hits(sources, step, _coords(points)))
 
 
 def burns(source: BurnSource, p: Point, step: int) -> bool:
@@ -324,19 +379,20 @@ class ValidationReport:
 
 def _match_sources_to_points(inst: Instance, sched: BurnSchedule, report: ValidationReport) -> None:
     # each point-model source must sit on its own instance point (within
-    # TOL): the lowest-index one not yet taken.  Points are indexed by x
-    # once; a point within TOL of a source lies inside the source's x
-    # window of 2 TOL each way (rounding is monotone), so only that window
-    # is tested.
-    xs = [p.x for p in inst.points]
-    order = sorted(range(len(xs)), key=xs.__getitem__)
-    xs = [xs[i] for i in order]
+    # TOL): the lowest-index one not yet taken.  A point within TOL of a
+    # source lies inside the source's x window of 2 TOL each way (rounding
+    # is monotone), so only the points that the x order puts in that
+    # window are tested.
+    xs = inst.coords[:, 0]
+    order = np.argsort(xs)
+    xs = xs[order]
+    cx = np.array([s.center.x for s in sched.sources])
+    los = np.searchsorted(xs, cx - 2 * TOL).tolist()
+    his = np.searchsorted(xs, cx + 2 * TOL, side="right").tolist()
     taken: set[int] = set()
-    for s in sched.sources:
+    for s, lo, hi in zip(sched.sources, los, his):
         c = s.center
-        lo = bisect.bisect_left(xs, c.x - 2 * TOL)
-        hi = bisect.bisect_right(xs, c.x + 2 * TOL)
-        near = [i for i in order[lo:hi] if distance(inst.points[i], c) <= TOL]
+        near = [i for i in order[lo:hi].tolist() if distance(inst.points[i], c) <= TOL]
         free = [i for i in near if i not in taken]
         if free:
             taken.add(min(free))
@@ -402,9 +458,8 @@ def validate_schedule(inst: Instance, sched: BurnSchedule) -> ValidationReport:
                     break
 
     if not report.violations:
-        n = len(inst.points)
-        burnt = reduce(or_, burn_masks(sched.sources, T, inst.points), 0)
-        bits, index = f"{burnt:0{n}b}"[::-1][:n], _shared_indices(n)  # bit i at [i]
-        report.unburned = [index[i] for i, b in enumerate(bits) if b == "0"]
+        unburned = np.flatnonzero(~burn_hits(sched.sources, T, inst.coords).any(axis=0))
+        index = _shared_indices(inst.n)
+        report.unburned = [index[i] for i in unburned.tolist()]
     report.valid = not report.violations and not report.unburned
     return report

@@ -20,7 +20,20 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from geoburn.core import POINT, TOL, Instance, Model, Point, _coords, distance, reach_masks
+from geoburn.core import (
+    POINT,
+    TOL,
+    Instance,
+    Model,
+    Point,
+    _coords,
+    distance,
+    pack_masks,
+    reach_hits,
+    reach_masks,
+    squared_distances,
+    within,
+)
 
 # Five disks of this radius, centered at the template coordinates below,
 # cover the closed unit disk.  The coordinates come from an offline
@@ -116,36 +129,56 @@ def coverage_masks(centers: Sequence[Point] | np.ndarray, radius: float | np.nda
     return reach_masks(centers, np.full(len(centers), radius + TOL), points)
 
 
+def line_fire_centers(xs: np.ndarray, radius: float | np.ndarray) -> np.ndarray:
+    """Centers of the line fires of ``radius`` whose right edges sit on xs.
+
+    Each is x - radius, no further left than the most negative float (a
+    fire stopped there covers a superset of the slid one), moved right an
+    ulp at a time until ``within`` says its reach (radius + TOL) holds x:
+    far from the origin x - radius can round to a center that does not
+    burn x.  xs and radius broadcast against each other.
+    """
+    reach = radius + TOL
+    with np.errstate(over="ignore"):
+        centers = np.maximum(xs - radius, -sys.float_info.max)
+        while not (fit := within(xs - centers, 0.0, reach)).all():
+            centers = np.where(fit, centers, np.nextafter(centers, math.inf))
+    return centers
+
+
 def fire_masks(inst: Instance, model: Model, sources: Sequence[int]
                ) -> Callable[[int], list[tuple[object, int]]]:
     """A solve's fires as a table ``at(rho)``, each rho built once on first use.
 
     ``at(rho)`` holds an (ident, coverage mask) entry per fire that spreads
     rho steps, at radius ``rate * rho``.  Point model: the idents are
-    ``sources``, in order.  Anywhere model: they are centers, the candidate
-    centers in the plane (built once), and on a line the points moved left
-    by the radius (a fire slid right until its right edge sits on a point
-    keeps all it covered), no further than the most negative float (a fire
-    stopped there covers a superset).
+    ``sources``, in order; their squared distances to ``inst.coords`` are
+    computed once per table, and each rho only settles them against the
+    reaches ``rate * rho + TOL`` (``core.reach_hits``).  Anywhere model:
+    the idents are centers, one ``coverage_masks`` call per rho; in the
+    plane the candidate centers (built once), and on a line the
+    ``line_fire_centers`` of the points (a fire slid right until its right
+    edge sits on a point keeps all it covered).
     """
-    pts = inst.points
-    P = _coords(pts)
+    P = inst.coords
     if model.tag == POINT:
         C, rates = P[list(sources)], np.array([inst.rates[i] for i in sources])
+        d2 = squared_distances(C, P)
 
         def build(rho: int) -> list[tuple[object, int]]:
-            return list(zip(sources, coverage_masks(C, rates * rho, P)))
+            return list(zip(sources, pack_masks(reach_hits(d2, rates * rho + TOL, C, P))))
     else:
         rate = inst.rates[0] if inst.rates else 1.0
-        base = candidate_centers(pts) if inst.dimension == 2 else None
+        base = candidate_centers(inst.points) if inst.dimension == 2 else None
         B = None if base is None else _coords(base)
 
         def build(rho: int) -> list[tuple[object, int]]:
             radius = rate * rho
             if base is not None:
                 return list(zip(base, coverage_masks(B, radius, P)))
-            cs = [Point(max(p.x - radius, -sys.float_info.max), 0.0) for p in pts]
-            return list(zip(cs, coverage_masks(cs, radius, P)))
+            xs = line_fire_centers(P[:, 0], radius)
+            C = np.stack((xs, P[:, 1]), axis=1)
+            return list(zip(map(Point, xs.tolist()), coverage_masks(C, radius, P)))
     return cache(build)
 
 

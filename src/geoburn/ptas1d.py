@@ -40,6 +40,7 @@ from geoburn.core import (
     check_epsilon,
     within,
 )
+from geoburn.cover import line_fire_centers
 from geoburn.oracle import DEFAULT_NODE_BUDGET, CapacityError
 
 
@@ -96,11 +97,11 @@ def cover_line(xs: list[float], spec: GroupSpec, point_model: bool
     """Cover sorted xs with the grouped radius multiset, or None.
 
     A move of group j places one ball for the rightmost uncovered point
-    xs[p - 1]: the ball ends there (centers free; nudged right until it
-    burns the point) or sits on the leftmost input point reaching it
-    (centers on input points), and leaves the prefix after[j][p - 1]
-    uncovered, all by the validator's burn test (``core.within`` at
-    radius + TOL).  cov[U] is the largest
+    xs[p - 1]: the ball ends there (centers free; its center is the
+    point's ``cover.line_fire_centers`` entry) or sits on the leftmost
+    input point reaching it (centers on input points), and leaves the
+    prefix after[j][p - 1] uncovered, all by the validator's burn test
+    (``core.within`` at radius + TOL).  cov[U] is the largest
     prefix that the multiset U of balls (U[j] <= sizes[j], one mixed-radix
     int per U) covers, built up from cov[0] = 0 through reach[j][c], the
     largest prefix whose group-j move lands within c; the guess is
@@ -130,9 +131,7 @@ def cover_line(xs: list[float], spec: GroupSpec, point_model: bool
         if point_model:
             centers = arr[_first_within(arr, arr, reaches)]
         else:
-            centers = arr - radii
-            while not (fit := within(arr - centers, 0.0, reaches)).all():
-                centers = np.where(fit, centers, np.nextafter(centers, math.inf))
+            centers = line_fire_centers(arr, radii)
         after = _first_within(arr, centers, reaches)
     # each row of after never decreases, so the count of prefixes whose
     # move lands within c is also the largest of them

@@ -25,6 +25,7 @@ from geoburn.core import (
     validate_schedule,
     within,
 )
+from geoburn.cover import coverage_mask, fire_masks
 
 
 def line_instance(*xs):
@@ -256,6 +257,15 @@ def test_burn_masks_match_burns_on_the_boundary(case):
     for source, mask in zip(sources, burn_masks(sources, 1, points)):
         assert [bool(mask >> j & 1) for j in range(len(points))] == \
             [burns(source, p, 1) for p in points]
+    # a point-model fire table settles squares shared by every rho; each
+    # rho must give the masks of its own coverage_mask calls
+    inst = Instance.planar([tuple(s.center) for s in sources] + [tuple(p) for p in points],
+                           rates=[s.rate for s in sources] + [1.0] * len(points))
+    table = fire_masks(inst, Model(POINT), range(len(sources)))
+    for rho in range(3):
+        assert table(rho) == [
+            (i, coverage_mask(inst.points[i], inst.rates[i] * rho, inst.points))
+            for i in range(len(sources))]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -271,3 +281,7 @@ def test_within_matches_hypot(draws):
     dy = np.array([q * math.sin(t) for q, (_, t, _) in zip(r, draws)])
     assert within(dx, dy, reach).tolist() == \
         [math.hypot(x, y) <= q for x, y, q in zip(dx.tolist(), dy.tolist(), reach.tolist())]
+    # on a line (dy all 0) within skips the band and compares abs(dx)
+    dx = np.array([-q if t > math.pi else q for q, (_, t, _) in zip(r, draws)])
+    assert within(dx, 0.0, reach).tolist() == \
+        [math.hypot(x, 0.0) <= q for x, q in zip(dx.tolist(), reach.tolist())]

@@ -206,12 +206,16 @@ def test_burning_number_k2_steps_over_spent_entries():
 
 def test_anywhere_never_worse_than_point():
     rng = random.Random(55)
-    for _ in range(10):
-        n = rng.randint(1, 7)
-        inst = Instance.line(sorted(rng.uniform(0, 15) for _ in range(n)))
+    lines = [Instance.line(sorted(rng.uniform(0, 15) for _ in range(rng.randint(1, 7))))
+             for _ in range(10)]
+    # far from the origin x - radius rounds to a center that misses x
+    lines.append(Instance.line([13596110228844.125, 13596110228845.377, 13596110228845.688],
+                               rates=[0.3] * 3))
+    for inst in lines:
         dp = exact_burning_number(inst, Model(POINT))[0]
-        da = exact_burning_number(inst, Model(ANYWHERE))[0]
+        da, sched = exact_burning_number(inst, Model(ANYWHERE))
         assert da <= dp
+        assert validate_schedule(inst, sched).valid
 
 
 def test_anywhere_line_agrees_with_planar_embedding():

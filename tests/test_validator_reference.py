@@ -3,7 +3,8 @@
 The reference below is the validator as it was before the fire list and
 the x-indexed source matching: one burn test per point-fire pair and a
 scan of every instance point per source.  The indexed validator must
-give the same report, verdict for verdict and in the same order.
+give the same report, verdict for verdict and in the same order.  It
+must also give the same verdicts on the instance's points in any order.
 """
 
 import math
@@ -11,6 +12,7 @@ import math
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from geoburn import core
 from geoburn.core import (
     ANYWHERE,
     POINT,
@@ -102,14 +104,14 @@ RATE = st.sampled_from([1.0, 0.5, 1e6]) | st.floats(1e-3, 1e6)
 
 
 @st.composite
-def cases(draw):
+def cases(draw, nudge=NUDGE):
     shift = draw(st.sampled_from([0.0, 0.0, 1e12, -1e12]))
     nodes = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1)),
                           min_size=1, max_size=3))
     coords = []
     for _ in range(draw(st.integers(1, 8))):
         gx, gy = draw(st.sampled_from(nodes))
-        coords.append((shift + gx + draw(NUDGE),
+        coords.append((shift + gx + draw(nudge),
                        shift + gy + draw(st.sampled_from([0.0, 0.0, 0.0, TOL]))))
     rates = draw(st.lists(RATE, min_size=len(coords), max_size=len(coords)))
     inst = Instance.planar(coords, rates)
@@ -148,3 +150,33 @@ def test_validator_matches_reference(case):
     assert got.violations == want.violations
     assert got.warnings == want.warnings
 
+
+
+# Points on one grid node coincide or lie 3 TOL apart, so no source is
+# within TOL of two distinct points and the lowest-index match cannot
+# depend on the order of the points.
+@st.composite
+def permuted_cases(draw):
+    inst, sched = draw(cases(st.sampled_from([0.0, 3 * TOL])))
+    return inst, sched, draw(st.permutations(range(inst.n)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(permuted_cases())
+# 300 points, 299 of them unburned, listed past the small-int cache
+@example((Instance.line(range(300)),
+          BurnSchedule(Model(POINT), 1, (BurnSource(Point(0.0, 0.0), 1),)),
+          list(range(299, -1, -1))))
+def test_validator_invariant_under_permutation(case):
+    inst, sched, perm = case
+    moved = Instance(tuple(inst.points[i] for i in perm), tuple(inst.rates[i] for i in perm),
+                     dimension=inst.dimension)
+    got, want = validate_schedule(moved, sched), validate_schedule(inst, sched)
+    assert got.valid == want.valid
+    assert sorted(perm[j] for j in got.unburned) == want.unburned
+    assert got.violations == want.violations
+    assert got.warnings == want.warnings
+    # entries come from one shared tuple, so retained reports stay small
+    index = core._shared_indices(inst.n)
+    assert all(i is index[i] for i in got.unburned + want.unburned)
