@@ -8,7 +8,7 @@ radius reaches it (closed disks, additive tolerance ``TOL``).
 One predicate decides "burns" everywhere: a fire at (cx, cy) with reach
 ``radius + TOL`` holds (px, py) iff ``math.hypot(px - cx, py - cy) <=
 reach``.  ``burns`` and ``is_burned`` make that test one pair at a time,
-``within`` over arrays (on a line, where dy is 0, it compares ``abs(dx)``).
+``within`` over arrays on a line, where ``math.hypot(dx, 0.0) == abs(dx)``.
 The all-pairs kernel has two steps: ``squared_distances`` computes the
 center-to-point squares in place, and ``reach_hits`` settles them against
 one reach per center, exactly (the squares decide away from the boundary,
@@ -202,20 +202,9 @@ def _settle(d2: np.ndarray, reach: np.ndarray, exact: Callable[[tuple], bool]) -
     return hit
 
 
-def within(dx, dy, reach) -> np.ndarray:
-    """``math.hypot(dx, dy) <= reach`` elementwise over broadcast arrays, exactly."""
-    dx, dy, reach = (np.asarray(a, dtype=float) for a in (dx, dy, reach))
-    if not dy.any():
-        # math.hypot(d, 0.0) == abs(d), so on a line no band is needed;
-        # dx + dy is dx, broadcast against dy
-        return np.abs(dx + dy) <= reach
-
-    def exact(k: tuple) -> bool:
-        x, y, r = np.broadcast_arrays(dx, dy, reach)
-        return math.hypot(x[k], y[k]) <= r[k]
-
-    with np.errstate(over="ignore"):
-        return _settle(dx * dx + dy * dy, reach, exact)
+def within(dx, reach) -> np.ndarray:
+    """``abs(dx) <= reach`` elementwise: on a line, exactly ``math.hypot(dx, 0.0) <= reach``."""
+    return np.abs(dx) <= reach
 
 
 def _coords(points: Sequence[Point] | np.ndarray) -> np.ndarray:

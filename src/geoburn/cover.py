@@ -141,7 +141,7 @@ def line_fire_centers(xs: np.ndarray, radius: float | np.ndarray) -> np.ndarray:
     reach = radius + TOL
     with np.errstate(over="ignore"):
         centers = np.maximum(xs - radius, -sys.float_info.max)
-        while not (fit := within(xs - centers, 0.0, reach)).all():
+        while not (fit := within(xs - centers, reach)).all():
             centers = np.where(fit, centers, np.nextafter(centers, math.inf))
     return centers
 

@@ -84,8 +84,8 @@ def _first_within(arr: np.ndarray, v: np.ndarray, reach: np.ndarray) -> np.ndarr
     i = np.searchsorted(arr, v - reach)
     while True:
         prev, cur = arr[i - 1], arr[np.minimum(i, len(arr) - 1)]  # prev unused at i = 0
-        back = (i > 0) & within(v - prev, 0.0, reach)
-        ahead = (i < len(arr)) & ~back & ~within(v - cur, 0.0, reach)
+        back = (i > 0) & within(v - prev, reach)
+        ahead = (i < len(arr)) & ~back & ~within(v - cur, reach)
         if not (back.any() or ahead.any()):
             return i
         i = np.where(back, np.searchsorted(arr, prev), i)

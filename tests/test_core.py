@@ -271,17 +271,13 @@ def test_burn_masks_match_burns_on_the_boundary(case):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.tuples(
     st.floats(-320, 308) | st.sampled_from([77.13, 154.127, -153.8, -154.5]),
-    st.floats(0.0, 2.0 * math.pi), st.integers(-8, 8)), min_size=1, max_size=8))
+    st.booleans(), st.integers(-8, 8)), min_size=1, max_size=8))
 def test_within_matches_hypot(draws):
-    # reaches from subnormal to near the float range, those whose squares
-    # just overflow or underflow among them, with lengths within 8 ulps
+    # on a line: reaches from subnormal to near the float range, those
+    # whose squares just overflow or underflow among them, with offsets
+    # of either sign within 8 ulps of them
     reach = np.array([10.0 ** e for e, _, _ in draws])
-    r = [q + k * math.ulp(q) for q, (_, _, k) in zip(reach.tolist(), draws)]
-    dx = np.array([q * math.cos(t) for q, (_, t, _) in zip(r, draws)])
-    dy = np.array([q * math.sin(t) for q, (_, t, _) in zip(r, draws)])
-    assert within(dx, dy, reach).tolist() == \
-        [math.hypot(x, y) <= q for x, y, q in zip(dx.tolist(), dy.tolist(), reach.tolist())]
-    # on a line (dy all 0) within skips the band and compares abs(dx)
-    dx = np.array([-q if t > math.pi else q for q, (_, t, _) in zip(r, draws)])
-    assert within(dx, 0.0, reach).tolist() == \
+    dx = np.array([(-1.0 if left else 1.0) * (q + k * math.ulp(q))
+                   for q, (_, left, k) in zip(reach.tolist(), draws)])
+    assert within(dx, reach).tolist() == \
         [math.hypot(x, 0.0) <= q for x, q in zip(dx.tolist(), reach.tolist())]

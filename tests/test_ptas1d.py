@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import tracemalloc
 from bisect import bisect_left
 
@@ -252,6 +253,12 @@ def test_uniform_scaled_rates():
     href, _, _ = ptas_burning_line(Instance.line([0.0, 2.0, 4.0]),
                                    Model(POINT), epsilon=0.5)
     assert horizon == href
+    # at rate 1e308 the one fire's radius overflows to inf; its center
+    # stops at the most negative float instead of -inf
+    inst = Instance.line([-1.7e308, -1e308, 0.0, 1e308, 1.7e308], rates=[1e308] * 5)
+    _, sched, _ = ptas_burning_line(inst, Model(ANYWHERE), epsilon=0.5)
+    assert validate_schedule(inst, sched).valid
+    assert [s.center.x for s in sched.sources] == [-sys.float_info.max]
 
 
 def test_input_validation():

@@ -95,16 +95,18 @@ def reference_validate_schedule(inst, sched):
     return report
 
 
-# Points sit on a few grid nodes, nudged along x by multiples of TOL / 2:
-# coincident points, points within TOL of each other and chains of them.
-# Sources sit on points, some nudged by up to TOL either way.
+# Points sit on a few grid nodes, nudged along x by multiples of TOL / 2
+# and now and then up by TOL: coincident points, points within TOL of
+# each other and chains of them.  Sources sit on points, some nudged
+# along x by up to TOL either way.
 NUDGE = st.sampled_from([0.0, TOL / 2, TOL, 1.5 * TOL, 2 * TOL])
+LIFT = st.sampled_from([0.0, 0.0, 0.0, TOL])
 SOURCE_NUDGE = st.sampled_from([0.0, 0.0, TOL / 2, -TOL / 2, TOL, -TOL])
 RATE = st.sampled_from([1.0, 0.5, 1e6]) | st.floats(1e-3, 1e6)
 
 
 @st.composite
-def cases(draw, nudge=NUDGE):
+def cases(draw, nudge=NUDGE, lift=LIFT):
     shift = draw(st.sampled_from([0.0, 0.0, 1e12, -1e12]))
     nodes = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1)),
                           min_size=1, max_size=3))
@@ -112,7 +114,7 @@ def cases(draw, nudge=NUDGE):
     for _ in range(draw(st.integers(1, 8))):
         gx, gy = draw(st.sampled_from(nodes))
         coords.append((shift + gx + draw(nudge),
-                       shift + gy + draw(st.sampled_from([0.0, 0.0, 0.0, TOL]))))
+                       shift + gy + draw(lift)))
     rates = draw(st.lists(RATE, min_size=len(coords), max_size=len(coords)))
     inst = Instance.planar(coords, rates)
     T = draw(st.integers(0, 6))
@@ -151,13 +153,14 @@ def test_validator_matches_reference(case):
     assert got.warnings == want.warnings
 
 
-
-# Points on one grid node coincide or lie 3 TOL apart, so no source is
-# within TOL of two distinct points and the lowest-index match cannot
-# depend on the order of the points.
+# Points on one grid node are nudged by 0 or 3 TOL along each axis, so
+# they coincide or lie at least 3 TOL apart: no source (at most TOL off
+# a point) is within TOL of two distinct points, and the lowest-index
+# match cannot depend on the order of the points.
 @st.composite
 def permuted_cases(draw):
-    inst, sched = draw(cases(st.sampled_from([0.0, 3 * TOL])))
+    offset = st.sampled_from([0.0, 3 * TOL])
+    inst, sched = draw(cases(offset, offset))
     return inst, sched, draw(st.permutations(range(inst.n)))
 
 
