@@ -1,11 +1,12 @@
 """Disk-covering primitives shared by the planar pipelines.
 
 Contents: candidate center generation (input points, pair midpoints,
-circumcenters), coverage masks and the per-solve fire-mask tables, one
-lazy greedy set cover (disk covers, with an optional local-search
-polish, and dominating sets of disk graphs), the frozen five-disk covering
-template with a rigorous verifier, the annulus zones used by the planar
-point-model pipeline, and a grouped max-coverage greedy.
+circumcenters), coverage masks and the per-solve fire-mask tables, the
+maximal-mask filter that prunes the exact searches, one lazy greedy set
+cover (disk covers, with an optional local-search polish, and dominating
+sets of disk graphs), the frozen five-disk covering template with a
+rigorous verifier, the annulus zones used by the planar point-model
+pipeline, and a grouped max-coverage greedy.
 """
 
 from __future__ import annotations
@@ -180,6 +181,33 @@ def fire_masks(inst: Instance, model: Model, sources: Sequence[int]
             C = np.stack((xs, P[:, 1]), axis=1)
             return list(zip(map(Point, xs.tolist()), coverage_masks(C, radius, P)))
     return cache(build)
+
+
+def maximal_masks(entries: Sequence[tuple[object, int]]) -> list[tuple[object, int]]:
+    """The (ident, mask) entries whose mask no other entry's mask strictly contains.
+
+    Of equal masks only the first is kept, zero masks are dropped, and the
+    kept entries stay in input order.  The distinct masks are visited by
+    popcount, largest first, so every mask that contains one is visited
+    before it, and some kept mask contains each dropped one; each mask is
+    tested only against the kept masks that hold its lowest bit.
+    """
+    first: dict[int, int] = {}
+    for j, (_, m) in enumerate(entries):
+        if m:
+            first.setdefault(m, j)
+    by_bit: dict[int, list[int]] = {}
+    kept: list[int] = []
+    for m in sorted(first, key=int.bit_count, reverse=True):
+        if any(not m & ~big for big in by_bit.get((m & -m).bit_length() - 1, ())):
+            continue
+        kept.append(first[m])
+        rest = m
+        while rest:
+            low = rest & -rest
+            by_bit.setdefault(low.bit_length() - 1, []).append(m)
+            rest ^= low
+    return [entries[j] for j in sorted(kept)]
 
 
 def greedy_cover(masks: Sequence[int], full: int) -> tuple[list[int], int]:

@@ -10,11 +10,19 @@ all its horizons.  The cover search finds a minimum set cover over
 bitmasks: minimum equal-disk covers and minimum dominating sets call it.
 Both carry a node budget and raise CapacityError when it runs out, so
 callers never hang.
+
+Both prune by dominance (``cover.maximal_masks``): a mask inside another
+mask of the same choice is never needed, because the larger one can take
+its place.  The cover search prunes every call.  The step search prunes
+only the anywhere model's fires, where placement is free: a point-model
+fire is tied to its own input point, which no other fire can stand in
+for, and max-burn and the LSAT brute force light designated sources.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import Callable, Sequence
 
 from geoburn.core import (
@@ -32,6 +40,7 @@ from geoburn.cover import (
     coverage_mask,  # noqa: F401  (the benchmark's traced run wraps this name)
     coverage_masks,
     fire_masks,
+    maximal_masks,
 )
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -56,6 +65,13 @@ def exact_burning_number(inst: Instance, model: Model | None = None, *,
     repeated states, unreachable points, and gain-free ignitions.  The
     anywhere model requires uniform rates (a fire off the input points has
     no defined spread rate otherwise).
+
+    In the anywhere model each radius's fires are cut once per solve to
+    the maximal masks (``cover.maximal_masks``), shared by all horizons.
+    This is exact: a fire whose mask lies inside another fire's mask at
+    the same radius can be swapped for that fire, since a free center has
+    no other constraint.  The point model keeps every fire, because each
+    one is the ignition of its own input point.
     """
     model = model or Model(POINT)
     n = inst.n
@@ -66,7 +82,8 @@ def exact_burning_number(inst: Instance, model: Model | None = None, *,
     if max_steps is None:
         max_steps = max(1, math.ceil(n / model.k))
     budget = [node_budget]
-    table = fire_masks(inst, model, range(n))
+    raw = fire_masks(inst, model, range(n))
+    table = cache(lambda rho: maximal_masks(raw(rho))) if model.tag == ANYWHERE else raw
     for horizon in range(1, max_steps + 1):
         got, sched = _search_steps(inst, model, horizon, budget, table, n - 1)
         if got == n:
@@ -147,7 +164,13 @@ def _search_steps(inst: Instance, model: Model, T: int, budget: list[int],
             picked.pop()
         return step(s + 1, covered, used)
 
-    step(1, 0, 0)
+    try:
+        step(1, 0, 0)
+    finally:
+        # step and pick reach each other through closure cells; emptying
+        # the cells frees the memo of failed states now, not at the next
+        # full garbage collection
+        del step, pick
     if witness is None:
         return best, None
     if point_model:
@@ -161,16 +184,15 @@ def _min_cover(masks: Sequence[int], n: int, max_size: int | None,
                node_budget: int) -> list[int] | None:
     """The cover kernel: indices of a minimum set of masks covering n points.
 
-    Masks with equal bits collapse to the first index.  Iterative
-    deepening over the cover size with branch and bound: always branch on
-    the uncovered point with the fewest usable masks.  Returns None when
-    no cover of size <= max_size exists.
+    Only the maximal masks are searched (``cover.maximal_masks``; of
+    equal masks the first index): a minimum cover never needs a mask that
+    another mask contains.  Iterative deepening over the cover size with
+    branch and bound: always branch on the uncovered point with the fewest
+    usable masks.  Returns None when no cover of size <= max_size exists.
     """
-    by_mask: dict[int, int] = {}
-    for idx, m in enumerate(masks):
-        if m and m not in by_mask:
-            by_mask[m] = idx
-    entries = sorted(((i, m) for m, i in by_mask.items()))
+    if n == 0:
+        return []
+    entries = maximal_masks(list(enumerate(masks)))
     budget = [node_budget]
 
     def search(uncovered: int, size_left: int, chosen: list[int]) -> list[int] | None:
@@ -199,14 +221,15 @@ def _min_cover(masks: Sequence[int], n: int, max_size: int | None,
                 return got
         return None
 
-    if n == 0:
-        return []
     upper = n if max_size is None else min(max_size, n)
-    for size in range(1, upper + 1):
-        sel = search((1 << n) - 1, size, [])
-        if sel is not None:
-            return sel
-    return None
+    try:
+        for size in range(1, upper + 1):
+            sel = search((1 << n) - 1, size, [])
+            if sel is not None:
+                return sel
+        return None
+    finally:
+        del search  # it reaches itself through a closure cell; free it now
 
 
 def exact_disk_cover(points: Sequence[Point], radius: float, *,

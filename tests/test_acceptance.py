@@ -217,6 +217,37 @@ def test_criterion_3_planar_ratios_strict():
           f"{runs} runs, {violations} bound violations, constants frozen {frozen}")
 
 
+def test_criterion_3_planar_ratios_at_scale():
+    # the non-strict pipelines against exact delta* on density-scaled
+    # squares (side 10 sqrt(n / 20)), with criterion 3's bounds
+    eps = 0.5
+    t0 = time.perf_counter()
+    violations = 0
+    ratios = []
+    for n in (20, 24, 28):
+        for seed in (0, 1):
+            inst = generate("uniform-square", n, seed, span=10.0 * math.sqrt(n / 20.0))
+            d_any, s_exact = exact_burning_number(inst, Model(ANYWHERE))
+            h_any, s_any, _ = anywhere_burning(inst, eps)
+            assert validate_schedule(inst, s_exact).valid
+            assert validate_schedule(inst, s_any).valid
+            if h_any > math.ceil(1.92188 * (1 + eps) * d_any) + 2:
+                violations += 1
+            ratios.append(h_any / d_any)
+            if n == 20:
+                d_pt, s_exact = exact_burning_number(inst, Model(POINT))
+                h_pt, s_pt, _ = point_burning(inst, eps)
+                assert validate_schedule(inst, s_exact).valid
+                assert validate_schedule(inst, s_pt).valid
+                if h_pt > math.ceil((53.0 / 27.0) * (1 + eps) * d_pt) + 2:
+                    violations += 1
+                ratios.append(h_pt / d_pt)
+    elapsed = time.perf_counter() - t0
+    _emit(violations == 0, "criterion 3 planar ratios at n = 20-28",
+          f"{len(ratios)} runs, {violations} bound violations, worst horizon / delta* "
+          f"{max(ratios):.2f}, {elapsed:.1f} s")
+
+
 def test_criterion_4_templates():
     certified = verify_template(FIVE_COVER_CENTERS, 0.6094, resolution=1e-3)
     zone = zone_diameter_fraction()

@@ -28,6 +28,7 @@ from geoburn.cover import (
     dominating_set_greedy,
     greedy_cover,
     max_coverage_groups,
+    maximal_masks,
     sample_covering_radius,
     scaled_template,
     verify_template,
@@ -111,6 +112,51 @@ def test_greedy_cover_matches_eager_scan():
             want.append(gains.index(max(gains)))
             left &= ~masks[want[-1]]
         assert greedy_cover(masks, full) == (want, left)
+
+
+def reference_maximal_masks(entries):
+    # the quadratic filter: drop zero masks, masks another mask strictly
+    # contains, and every repeat of an earlier equal mask
+    return [(ident, m) for j, (ident, m) in enumerate(entries)
+            if m
+            and not any(m & ~o == 0 and o != m for _, o in entries)
+            and not any(o == m for _, o in entries[:j])]
+
+
+def test_maximal_masks_frozen_case():
+    entries = [("a", 0b0011), ("b", 0), ("c", 0b0001), ("d", 0b0011),
+               ("e", 0b1100), ("f", 0b0110), ("g", 0b0100)]
+    # c lies inside a, d repeats a, g lies inside e and f; order is kept
+    assert maximal_masks(entries) == [("a", 0b0011), ("e", 0b1100), ("f", 0b0110)]
+    assert maximal_masks([]) == []
+    assert maximal_masks([(0, 0), (1, 0)]) == []
+    # a nested chain keeps only its top, wherever it sits
+    chain = [(i, (1 << (i + 1)) - 1) for i in range(6)]
+    assert maximal_masks(chain) == [(5, 0b111111)]
+    assert maximal_masks(chain[::-1]) == [(5, 0b111111)]
+
+
+def test_maximal_masks_matches_reference():
+    rng = random.Random(2024)
+    for _ in range(400):
+        n = rng.randint(1, 10)
+        entries = []
+        for i in range(rng.randint(0, 30)):
+            roll = rng.random()
+            if roll < 0.1:
+                m = 0
+            elif roll < 0.3 and entries:
+                m = rng.choice(entries)[1]  # a duplicate
+            elif roll < 0.5 and entries:
+                m = rng.choice(entries)[1] & rng.getrandbits(n)  # nested inside one
+            else:
+                m = rng.getrandbits(n) & rng.getrandbits(n)
+            entries.append((i, m))
+        got = maximal_masks(entries)
+        assert got == reference_maximal_masks(entries)
+        # each dropped nonzero mask lies inside a kept one
+        for _, m in entries:
+            assert not m or any(m & ~k == 0 for _, k in got)
 
 
 def test_greedy_cover_single_disk_via_midpoint():

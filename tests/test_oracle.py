@@ -1,5 +1,6 @@
 """Exact solvers against frozen cases and independent enumeration."""
 
+import gc
 import itertools
 import random
 import sys
@@ -26,8 +27,10 @@ from geoburn.cover import (
     fire_masks,
 )
 from geoburn.oracle import (
+    DEFAULT_NODE_BUDGET,
     CapacityError,
     InfeasibleError,
+    _search_steps,
     exact_burning_number,
     exact_disk_cover,
     exact_dominating_set,
@@ -230,6 +233,42 @@ def test_anywhere_line_agrees_with_planar_embedding():
         assert d1 == d2
 
 
+def unpruned_anywhere_number(inst, k):
+    # the step kernel over the raw fire table, every dominated fire kept
+    model = Model(ANYWHERE, k)
+    table = fire_masks(inst, model, range(inst.n))
+    for T in range(1, inst.n + 1):
+        if _search_steps(inst, model, T, [DEFAULT_NODE_BUDGET], table,
+                         inst.n - 1)[0] == inst.n:
+            return T
+
+
+def test_anywhere_pruning_is_exact():
+    # dropping fires whose mask lies inside another fire's mask at the
+    # same radius leaves delta* unchanged, with k = 1 and 2, on coincident
+    # and collinear points
+    rng = random.Random(1414)
+    instances = []
+    for _ in range(10):
+        pts = [(rng.uniform(0, 9), rng.uniform(0, 9)) for _ in range(rng.randint(2, 7))]
+        pts += rng.sample(pts, rng.randint(1, 2))  # coincident copies
+        rng.shuffle(pts)
+        instances.append(Instance.planar(pts))
+    for _ in range(6):
+        slope, icpt = rng.uniform(-2, 2), rng.uniform(-5, 5)
+        xs = [rng.uniform(0, 8) for _ in range(rng.randint(2, 7))]
+        instances.append(Instance.planar([(x, slope * x + icpt) for x in xs]))
+    for _ in range(6):
+        xs = sorted(rng.uniform(0, 12) for _ in range(rng.randint(1, 7)))
+        xs.append(rng.choice(xs))  # a coincident pair on the line
+        instances.append(Instance.line(sorted(xs)))
+    for inst in instances:
+        for k in (1, 2):
+            T, sched = exact_burning_number(inst, Model(ANYWHERE, k))
+            assert T == unpruned_anywhere_number(inst, k)
+            assert validate_schedule(inst, sched).valid
+
+
 def test_burning_number_translation_invariant():
     rng = random.Random(2)
     for _ in range(6):
@@ -250,6 +289,26 @@ def test_burning_number_infeasible_and_capacity():
     with pytest.raises(ValueError):
         exact_burning_number(Instance.line([0.0, 1.0], rates=(1.0, 2.0)),
                              Model(ANYWHERE))
+
+
+def test_searches_leave_no_cyclic_garbage():
+    # the kernels' recursive closures must not keep a solve's memo and
+    # tables alive until the next full collection, on success or when the
+    # budget runs out
+    inst = Instance.planar([(0, 0), (9, 0), (0, 9), (9, 9), (4, 5)])
+    gc.collect()
+    gc.disable()
+    try:
+        exact_burning_number(inst, Model(ANYWHERE))
+        exact_burning_number(inst, Model(POINT))
+        exact_disk_cover(list(inst.points), 3.0)
+        with pytest.raises(CapacityError):
+            exact_burning_number(inst, Model(POINT), node_budget=3)
+        with pytest.raises(CapacityError):
+            exact_dominating_set([set()] * 12, node_budget=3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_fire_masks_table():
