@@ -154,7 +154,8 @@ def point_burning(inst: Instance, epsilon: float = 1.0, *,
     extra = _iceil(ANNULUS_INNER_FRACTION * delta * (1.0 + epsilon))
     horizon = m + extra
     sources = [BurnSource(c, step, rate) for step, c in enumerate(centers, start=1)]
-    burnt = reduce(or_, burn_masks(sources, horizon, pts), 0)
+    masks = burn_masks(sources, horizon, inst.coords)
+    burnt = reduce(or_, masks, 0)
 
     # fires younger than delta leave an outer annulus: patch each occupied
     # thirteenth-sector by igniting its lowest-index leftover point
@@ -168,25 +169,27 @@ def point_burning(inst: Instance, epsilon: float = 1.0, *,
                     reps.append(i)
                     break
     assert len(reps) <= extra, "annulus fires ran past the horizon"
-    sources += [BurnSource(pts[i], step, rate) for step, i in enumerate(reps, m + 1)]
     if reps:
         assert extra - len(reps) + 1e-9 >= LATE_REACH_FRACTION * delta, \
             "an annulus fire cannot span its zone"
-    sources = _drop_burnt_ignitions(pts, horizon, sources)
+        patches = [BurnSource(pts[i], step, rate) for step, i in enumerate(reps, m + 1)]
+        sources += patches
+        masks += burn_masks(patches, horizon, inst.coords)
+    sources = _drop_burnt_ignitions(sources, masks)
     return horizon, BurnSchedule(model, horizon, tuple(sources)), trace
 
 
-def _drop_burnt_ignitions(points, horizon: int,
-                          sources: list[BurnSource]) -> list[BurnSource]:
+def _drop_burnt_ignitions(sources: list[BurnSource], masks: list[int]) -> list[BurnSource]:
     # Drop every source (given in step order) whose point an earlier kept
     # fire has burnt by its ignition step, when that fire's final burn
-    # mask holds the dropped one's; the horizon and other steps stay.
+    # mask (``masks``, one per source) holds the dropped one's; the
+    # horizon and other steps stay.
     # The subset test assumes nothing about the rates, so a faster later
     # fire that reaches beyond the earlier one is kept.  Under one rate
     # the triangle inequality nests the disks up to 2 TOL, so nearly
     # every such source goes.
     kept: list[tuple[BurnSource, int]] = []
-    for s, mine in zip(sources, burn_masks(sources, horizon, points)):
+    for s, mine in zip(sources, masks):
         if not any(mine & ~theirs == 0 and e.step < s.step and burns(e, s.center, s.step)
                    for e, theirs in kept):
             kept.append((s, mine))
@@ -234,9 +237,10 @@ def k_burning_nonuniform(inst: Instance, k: int = 1, epsilon: float = 1.0, *,
                for j, i in enumerate(order)]
     # a dominator e of p satisfies d(p, e) <= (delta-1)(r_e + r_p)/2, and
     # its fire gets at least h (delta - 1) steps: r_e h >= (r_e + r_p)/2
-    assert reduce(or_, burn_masks(sources, horizon, pts), 0) == (1 << inst.n) - 1, \
+    masks = burn_masks(sources, horizon, inst.coords)
+    assert reduce(or_, masks, 0) == (1 << inst.n) - 1, \
         "dominating fire fails to reach a point"
-    sources = _drop_burnt_ignitions(pts, horizon, sources)
+    sources = _drop_burnt_ignitions(sources, masks)
     return horizon, BurnSchedule(model, horizon, tuple(sources)), trace
 
 

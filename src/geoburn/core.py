@@ -17,10 +17,11 @@ turns into bitmasks.  ``reach_masks`` chains the three for the fire masks
 of ``cover`` and the pipelines; ``cover.fire_masks`` computes the squares
 once per table and settles them once per radius.  ``Instance.coords`` is
 the instance's (n, 2) coordinate array, built once per instance, which
-the fire tables and the validator read.  The validator lists as
-``unburned`` the columns of its hit matrix (``burn_hits``) that no fire
-holds, and matches point-model sources to points through the x order of
-``Instance.coords``.
+the fire tables and the validator read.  The validator keeps the columns
+of its hit matrix (``burn_hits``) that no fire holds as packed bits, one
+bit per point and none when every point burns, which the report's
+``unburned`` lists as indices; it matches point-model sources to points
+through the x order of ``Instance.coords``.
 
 Two placement models:
 
@@ -346,19 +347,30 @@ class ValidationReport:
 
     ``valid`` iff ``unburned`` and ``violations`` are both empty;
     ``warnings`` (the ``ignite-burnt-point`` class) never affect validity.
+    The unburned points are kept as packed bits, ``unburned_bits``: point
+    i at bit i % 8 of byte i // 8, about n / 8 bytes, and no bytes at all
+    when every point burns.  ``unburned`` lists them in ascending order.
     """
 
     valid: bool
-    unburned: list[int] = field(default_factory=list)
+    unburned_bits: bytes = b""
     violations: list[Violation] = field(default_factory=list)
     warnings: list[Violation] = field(default_factory=list)
+
+    @property
+    def unburned(self) -> list[int]:
+        """Indices of the points no final fire disk reaches, ascending."""
+        bits = np.unpackbits(np.frombuffer(self.unburned_bits, dtype=np.uint8),
+                             bitorder="little")
+        return np.flatnonzero(bits).tolist()
 
     def summary(self) -> str:
         if self.valid and not self.warnings:
             return "valid"
         parts = ["valid" if self.valid else "INVALID"]
-        if self.unburned:
-            parts.append(f"{len(self.unburned)} unburned: {self.unburned}")
+        unburned = self.unburned
+        if unburned:
+            parts.append(f"{len(unburned)} unburned: {unburned}")
         for v in self.violations:
             parts.append(f"{v.rule}: {v.message}")
         for w in self.warnings:
@@ -395,19 +407,6 @@ def _match_sources_to_points(inst: Instance, sched: BurnSchedule, report: Valida
                 "off-instance-point",
                 f"source at ({c.x}, {c.y}) matches no instance point",
             ))
-
-
-# Point indices listed in ``ValidationReport.unburned`` are taken from this
-# one tuple (grown on demand), so a report kept alive holds one pointer per
-# index instead of a fresh int object of its own.
-_INDICES: tuple[int, ...] = ()
-
-
-def _shared_indices(n: int) -> tuple[int, ...]:
-    global _INDICES
-    if len(_INDICES) < n:
-        _INDICES = tuple(range(max(n, 2 * len(_INDICES))))
-    return _INDICES
 
 
 def validate_schedule(inst: Instance, sched: BurnSchedule) -> ValidationReport:
@@ -447,8 +446,8 @@ def validate_schedule(inst: Instance, sched: BurnSchedule) -> ValidationReport:
                     break
 
     if not report.violations:
-        unburned = np.flatnonzero(~burn_hits(sched.sources, T, inst.coords).any(axis=0))
-        index = _shared_indices(inst.n)
-        report.unburned = [index[i] for i in unburned.tolist()]
-    report.valid = not report.violations and not report.unburned
+        missed = ~burn_hits(sched.sources, T, inst.coords).any(axis=0)
+        if missed.any():
+            report.unburned_bits = np.packbits(missed, bitorder="little").tobytes()
+    report.valid = not report.violations and not report.unburned_bits
     return report

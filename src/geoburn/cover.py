@@ -28,6 +28,7 @@ from geoburn.core import (
     Model,
     Point,
     _coords,
+    _settle,
     distance,
     pack_masks,
     reach_hits,
@@ -56,6 +57,9 @@ FIVE_COVER_CENTERS = (
 ZONE_COUNT = 13
 ANNULUS_INNER_FRACTION = 26.0 / 27.0
 LATE_REACH_FRACTION = 13.0 / 27.0
+
+# rows of the disk graph's pair tests per block
+_GRAPH_BLOCK = 64
 
 
 def circumcenter(a: Point, b: Point, c: Point) -> Point | None:
@@ -411,43 +415,51 @@ def disk_graph(points: Sequence[Point], radii: Sequence[float]) -> list[set[int]
     """Intersection graph of disks: edge iff centers within r_i + r_j (+TOL).
 
     The test is the all-pairs one, ``distance(p_i, p_j) <= r_i + r_j +
-    TOL``, but it is made only for pairs in the same or adjacent cells of
-    a square grid.  The cell side is at least the largest reach
-    2 max(r) + TOL, and at least 2^-40 times the largest coordinate
-    magnitude, so that each quotient x / cell is within 2^-13 of exact;
-    it is widened by 2^-10 on top.  Two points that pass the test are
-    then less than one cell apart in the computed quotients on either
-    axis, so their cells are the same or adjacent: no edge is missed,
-    for zero radii, coincident points and offset coordinates alike.
+    TOL``, over numpy blocks of rows: ``_settle`` decides each pair's
+    squared distance against its reach ``(r_i + r_j) + TOL`` with exactly
+    ``math.hypot``'s verdict.  The points are sorted by x, and each pair
+    is tested once, from its earlier point, only when the later one lies
+    in the earlier one's x-window; a block of rows takes the columns up
+    to its last row's window end, which bounds every earlier row's.
+
+    The window misses no edge.  A pair that passes has ``|fl(x_j - x_i)|
+    <= hypot <= w``, where w = 2 max(r) + TOL as computed (rounding is
+    monotone), so ``|x_j - x_i| <= w (1 + 2^-52)``.  The window reaches
+    ``(w + 2^-40 s) (1 + 2^-10)`` past x_i, with s the largest coordinate
+    magnitude.  The sum that places its end is off by at most half an ulp
+    of s plus the window, which the widening exceeds, so zero radii,
+    coincident points and offsets of 1e15 are safe.  Points that share
+    one x fall in each other's windows, however many blocks they span.
     """
     n = len(points)
-    nbrs: list[set[int]] = [set() for _ in range(n)]
     if n < 2:
-        return nbrs
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
-    scale = max(max(map(abs, xs)), max(map(abs, ys)))
-    cell = max(2.0 * max(radii) + TOL, scale * 2.0 ** -40) * (1.0 + 2.0 ** -10)
-    grid: dict[tuple[int, int], list[int]] = {}
-    for i in range(n):
-        grid.setdefault((math.floor(xs[i] / cell), math.floor(ys[i] / cell)),
-                        []).append(i)
-    hypot = math.hypot
-    for (gx, gy), mine in grid.items():
-        # each pair of cells once: this one, then four of its neighbours
-        for other in (mine, grid.get((gx + 1, gy - 1)), grid.get((gx + 1, gy)),
-                      grid.get((gx + 1, gy + 1)), grid.get((gx, gy + 1))):
-            if not other:
-                continue
-            for a, i in enumerate(mine):
-                xi, yi, ri = xs[i], ys[i], radii[i]
-                hits = [j for j in (mine[a + 1:] if other is mine else other)
-                        if hypot(xi - xs[j], yi - ys[j]) <= ri + radii[j] + TOL]
-                if hits:
-                    nbrs[i].update(hits)
-                    for j in hits:
-                        nbrs[j].add(i)
-    return nbrs
+        return [set() for _ in range(n)]
+    P = _coords(points)
+    order = np.argsort(P[:, 0])
+    S = P[order]
+    R = np.asarray(radii, dtype=float)[order]
+    scale = float(np.abs(P).max())
+    window = (2.0 * float(R.max()) + TOL + scale * 2.0 ** -40) * (1.0 + 2.0 ** -10)
+    with np.errstate(over="ignore"):
+        ends = np.searchsorted(S[:, 0], S[:, 0] + window, side="right")
+    tails, heads = [], []
+    for a in range(0, n, _GRAPH_BLOCK):
+        b = min(a + _GRAPH_BLOCK, n)
+        end = ends[b - 1]
+        C, Q = S[a:b], S[a:end]
+        with np.errstate(over="ignore"):
+            reach = R[a:b, None] + R[None, a:end] + TOL
+            hit = _settle(squared_distances(C, Q), reach,
+                          lambda k: math.hypot(*(Q[k[1]] - C[k[0]])) <= reach[k])
+        # each pair once: from the earlier point in x order
+        rows, cols = np.nonzero(np.triu(hit, 1))
+        tails.append(order[a + rows])
+        heads.append(order[a + cols])
+    tail, head = np.concatenate(tails), np.concatenate(heads)
+    src, dst = np.concatenate((tail, head)), np.concatenate((head, tail))
+    dst = dst[np.argsort(src)].tolist()
+    bounds = np.cumsum(np.bincount(src, minlength=n)).tolist()
+    return [set(dst[lo:hi]) for lo, hi in zip([0] + bounds, bounds)]
 
 
 def closed_neighborhoods(neighbors: Sequence[set[int]]) -> list[int]:

@@ -22,6 +22,7 @@ from geoburn.core import (
     Instance,
     Model,
     Point,
+    burn_masks,
     is_burned,
     validate_schedule,
 )
@@ -230,9 +231,11 @@ def test_drop_burnt_ignitions_tolerance_edge():
     early = BurnSource(Point(0.0, 0.0), 1)
     late = BurnSource(Point(1.0 + 0.5e-9, 0.0), 2)
     lost = [early.center, late.center, Point(2.0 + 1.4e-9, 0.0)]
-    assert _drop_burnt_ignitions(lost, 3, [early, late]) == [early, late]
+    assert _drop_burnt_ignitions([early, late], burn_masks([early, late], 3, lost)) \
+        == [early, late]
     inside = [early.center, late.center, Point(2.0 + 0.5e-9, 0.0)]
-    assert _drop_burnt_ignitions(inside, 3, [early, late]) == [early]
+    assert _drop_burnt_ignitions([early, late], burn_masks([early, late], 3, inside)) \
+        == [early]
 
 
 @pytest.mark.parametrize("strict", [False, True])
@@ -249,7 +252,7 @@ def test_point_no_burnt_ignitions_sweep(strict, monkeypatch):
         assert report.valid and not report.warnings, (seed, report.summary())
         kept[seed] = horizon, sched.sources
     monkeypatch.setattr(burn2d, "_drop_burnt_ignitions",
-                        lambda points, horizon, sources: sources)
+                        lambda sources, masks: sources)
     dropped = 0
     for seed, (horizon, sources) in kept.items():
         n = 20 + seed % 21
@@ -320,7 +323,7 @@ def test_nonuniform_no_burnt_ignitions_sweep(monkeypatch):
         assert report.valid and not report.warnings, (seed, report.summary())
         kept[seed] = horizon, sched.sources
     monkeypatch.setattr(burn2d, "_drop_burnt_ignitions",
-                        lambda points, horizon, sources: sources)
+                        lambda sources, masks: sources)
     dropped = 0
     for seed, (horizon, sources) in kept.items():
         inst, k = instance(seed)

@@ -382,6 +382,28 @@ def test_disk_graph_far_from_origin():
         assert disk_graph(pts, radii) == [{1}, {0}, {3}, {2}, set()], base
 
 
+@pytest.mark.parametrize("offset", [0.0, -3e15])
+@pytest.mark.parametrize("scale", [0.0, 1.0, 1e300, 1e308])
+def test_disk_graph_adversarial(offset, scale):
+    # a column of 210 points at one x, 0.5 apart, spans several row
+    # blocks; points 63 and 64 coincide across a block boundary, and a few
+    # stragglers sit beside the column or on it.  Radii are 0 or
+    # {0.25, 0.5} times scale: edges at exactly r_i + r_j, zero radii, and
+    # reaches whose squares (and at 1e308, sums) overflow.  One more point
+    # lies scale above the column: at 1e300 and up its distance to the
+    # column rounds to scale, a tie that math.hypot settles
+    rng = random.Random(f"{offset}/{scale}")
+    ys = [offset + 0.5 * j for j in range(210)]
+    ys[64] = ys[63]
+    pts = [Point(offset, y) for y in ys]
+    pts += [Point(offset + rng.choice([-1.0, -0.5, 0.0, 0.5, 3.0]), rng.choice(ys))
+            for _ in range(40)]
+    pts.append(Point(offset, offset + scale))
+    radii = [rng.choice([0.0, 0.0, 0.25 * scale, 0.5 * scale]) for _ in pts[:-1]]
+    radii.append(0.5 * scale)
+    assert disk_graph(pts, radii) == _disk_graph_reference(pts, radii)
+
+
 def test_k_burning_nonuniform_matches_reference(monkeypatch):
     # horizons and traces as with the all-pairs graph and the eager
     # greedy, and the sources a subset: only burnt ignitions are dropped
@@ -393,7 +415,7 @@ def test_k_burning_nonuniform_matches_reference(monkeypatch):
     monkeypatch.setattr(burn2d, "disk_graph", _disk_graph_reference)
     monkeypatch.setattr(burn2d, "dominating_set_greedy", _dominating_reference)
     monkeypatch.setattr(burn2d, "_drop_burnt_ignitions",
-                        lambda points, horizon, sources: sources)
+                        lambda sources, masks: sources)
     for seed, k in cases:
         horizon, sched, trace = got[seed, k]
         h_ref, s_ref, t_ref = k_burning_nonuniform(_nonuniform_instance(seed), k, 0.5)

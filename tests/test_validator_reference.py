@@ -8,11 +8,12 @@ must also give the same verdicts on the instance's points in any order.
 """
 
 import math
+from types import SimpleNamespace
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from geoburn import core
 from geoburn.core import (
     ANYWHERE,
     POINT,
@@ -22,7 +23,6 @@ from geoburn.core import (
     Instance,
     Model,
     Point,
-    ValidationReport,
     Violation,
     validate_schedule,
 )
@@ -60,7 +60,8 @@ def _ref_match_sources_to_points(inst, sched, report):
 
 
 def reference_validate_schedule(inst, sched):
-    report = ValidationReport(valid=True)
+    # a report of its own, so the reference does not lean on ValidationReport
+    report = SimpleNamespace(valid=True, unburned=[], violations=[], warnings=[])
     T = sched.total_steps
     per_step = {}
     for s in sched.sources:
@@ -180,6 +181,29 @@ def test_validator_invariant_under_permutation(case):
     assert sorted(perm[j] for j in got.unburned) == want.unburned
     assert got.violations == want.violations
     assert got.warnings == want.warnings
-    # entries come from one shared tuple, so retained reports stay small
-    index = core._shared_indices(inst.n)
-    assert all(i is index[i] for i in got.unburned + want.unburned)
+    # retained reports stay small: at most one bit per point
+    assert len(got.unburned_bits) <= -(-inst.n // 8)
+    assert len(want.unburned_bits) <= -(-inst.n // 8)
+
+
+# (points on a line, final fire radius at x = 0 or None for no fire):
+# no points, and 13 points (not a multiple of 8) with none, one or all
+# of them unburned
+@pytest.mark.parametrize("n, radius, summary", [
+    (0, None, "valid"),
+    (13, 12, "valid"),
+    (13, 11, "INVALID; 1 unburned: [12]"),
+    (13, None, "INVALID; 13 unburned: " + str(list(range(13)))),
+], ids=["no-points", "none-unburned", "one-unburned", "all-unburned"])
+def test_unburned_bits(n, radius, summary):
+    inst = Instance.line(range(n))
+    sources = () if radius is None else (BurnSource(Point(0.0, 0.0), 1),)
+    sched = BurnSchedule(Model(POINT), 0 if radius is None else radius + 1, sources)
+    got = validate_schedule(inst, sched)
+    want = reference_validate_schedule(inst, sched)
+    assert got.valid == want.valid
+    assert got.unburned == want.unburned
+    assert got.summary() == summary
+    # bits only when some point is missed, at most one per point
+    assert bool(got.unburned_bits) == bool(want.unburned)
+    assert len(got.unburned_bits) <= -(-n // 8)
