@@ -411,8 +411,11 @@ def disk_cover_approx(points: Sequence[Point], radius: float,
                                    cand_masks)
 
 
-def disk_graph(points: Sequence[Point], radii: Sequence[float]) -> list[set[int]]:
+def disk_graph(points: Sequence[Point], radii: Sequence[float]) -> list[np.ndarray]:
     """Intersection graph of disks: edge iff centers within r_i + r_j (+TOL).
+
+    Returns one 1-D integer array per vertex, of its neighbours' indices
+    in no set order, without the vertex itself and without repeats.
 
     The test is the all-pairs one, ``distance(p_i, p_j) <= r_i + r_j +
     TOL``, over numpy blocks of rows: ``_settle`` decides each pair's
@@ -433,7 +436,7 @@ def disk_graph(points: Sequence[Point], radii: Sequence[float]) -> list[set[int]
     """
     n = len(points)
     if n < 2:
-        return [set() for _ in range(n)]
+        return [np.zeros(0, dtype=np.intp) for _ in range(n)]
     P = _coords(points)
     order = np.argsort(P[:, 0])
     S = P[order]
@@ -457,25 +460,38 @@ def disk_graph(points: Sequence[Point], radii: Sequence[float]) -> list[set[int]
         heads.append(order[a + cols])
     tail, head = np.concatenate(tails), np.concatenate(heads)
     src, dst = np.concatenate((tail, head)), np.concatenate((head, tail))
-    dst = dst[np.argsort(src)].tolist()
-    bounds = np.cumsum(np.bincount(src, minlength=n)).tolist()
-    return [set(dst[lo:hi]) for lo, hi in zip([0] + bounds, bounds)]
+    dst = dst[np.argsort(src)]
+    ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
+    return [dst[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
-def closed_neighborhoods(neighbors: Sequence[set[int]]) -> list[int]:
-    """Each vertex's closed neighbourhood as an int bitmask."""
-    bits = [1 << v for v in range(len(neighbors))]
-    closed = []
-    for v, nb in enumerate(neighbors):
-        m = bits[v]
-        for u in nb:
-            m |= bits[u]
-        closed.append(m)
+def closed_neighborhoods(neighbors: Sequence[np.ndarray | set[int]]) -> list[int]:
+    """Each vertex's closed neighbourhood as an int bitmask.
+
+    ``neighbors[v]`` holds v's neighbour indices, as ``disk_graph``'s 1-D
+    integer arrays or as sets of ints; a vertex may have none.  Each block
+    of rows is scattered into a boolean matrix, with the diagonal set, and
+    packed by ``pack_masks``.
+    """
+    n = len(neighbors)
+    closed: list[int] = []
+    for a in range(0, n, _GRAPH_BLOCK):
+        rows = [nb if isinstance(nb, np.ndarray) else np.fromiter(nb, np.intp, len(nb))
+                for nb in neighbors[a:a + _GRAPH_BLOCK]]
+        m = len(rows)
+        hit = np.zeros((m, n), dtype=bool)
+        hit[np.repeat(np.arange(m), [len(nb) for nb in rows]), np.concatenate(rows)] = True
+        # row i's own column a + i sits at flat index a + i (n + 1)
+        hit.reshape(-1)[a::n + 1] = True
+        closed += pack_masks(hit)
     return closed
 
 
-def dominating_set_greedy(neighbors: Sequence[set[int]]) -> list[int]:
-    """Greedy dominating set: ``greedy_cover`` by the closed neighbourhoods."""
+def dominating_set_greedy(neighbors: Sequence[np.ndarray | set[int]]) -> list[int]:
+    """Greedy dominating set: ``greedy_cover`` by the closed neighbourhoods.
+
+    ``neighbors`` as ``closed_neighborhoods`` takes it.
+    """
     return greedy_cover(closed_neighborhoods(neighbors),
                         (1 << len(neighbors)) - 1)[0]
 

@@ -25,6 +25,8 @@ import math
 from functools import cache
 from typing import Callable, Sequence
 
+import numpy as np
+
 from geoburn.core import (
     ANYWHERE,
     POINT,
@@ -251,14 +253,16 @@ def exact_disk_cover(points: Sequence[Point], radius: float, *,
     return None if sel is None else [cands[i] for i in sel]
 
 
-def exact_dominating_set(neighbors: Sequence[set[int]], *,
+def exact_dominating_set(neighbors: Sequence[np.ndarray | set[int]], *,
                          max_size: int | None = None,
                          node_budget: int = DEFAULT_NODE_BUDGET
                          ) -> list[int] | None:
     """A minimum dominating set, ascending.
 
-    The cover search over closed neighbourhoods.  Returns None when no
-    dominating set of size <= max_size exists.
+    The cover search over closed neighbourhoods.  ``neighbors[v]`` holds
+    v's neighbour indices, as ``disk_graph``'s 1-D integer arrays or as
+    sets of ints.  Returns None when no dominating set of size <= max_size
+    exists.
     """
     sel = _min_cover(closed_neighborhoods(neighbors), len(neighbors), max_size, node_budget)
     return None if sel is None else sorted(sel)

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from geoburn import burn2d
@@ -19,6 +20,7 @@ from geoburn.cover import (
     ZONE_COUNT,
     candidate_centers,
     circumcenter,
+    closed_neighborhoods,
     coverage_mask,
     coverage_masks,
     disk_cover_approx,
@@ -313,6 +315,29 @@ def _disk_graph_reference(points, radii):
     return nbrs
 
 
+def _as_sets(graph):
+    # disk_graph's neighbour arrays as sets, after checking each is a 1-D
+    # integer array with no self-loop and no repeated index
+    sets = []
+    for v, nb in enumerate(graph):
+        assert isinstance(nb, np.ndarray) and nb.ndim == 1, v
+        assert np.issubdtype(nb.dtype, np.integer), v
+        sets.append(set(nb.tolist()))
+        assert v not in sets[-1] and len(sets[-1]) == len(nb), v
+    return sets
+
+
+def _closed_reference(neighbors):
+    # closed_neighborhoods by one OR per edge
+    closed = []
+    for v, nb in enumerate(neighbors):
+        m = 1 << v
+        for u in nb:
+            m |= 1 << u
+        closed.append(m)
+    return closed
+
+
 def _dominating_reference(neighbors):
     # dominating_set_greedy by the eager scan over every vertex per pick
     n = len(neighbors)
@@ -362,9 +387,11 @@ def test_disk_graph_and_dominating_match_reference():
         for delta in range(1, 13):
             radii = [(delta - 1) / 2.0 * r for r in inst.rates]
             want = _disk_graph_reference(inst.points, radii)
-            assert disk_graph(inst.points, radii) == want, (seed, delta)
-            assert dominating_set_greedy(want) == _dominating_reference(want), \
-                (seed, delta)
+            got = disk_graph(inst.points, radii)
+            assert _as_sets(got) == want, (seed, delta)
+            dom = _dominating_reference(want)
+            assert dominating_set_greedy(want) == dom, (seed, delta)
+            assert dominating_set_greedy(got) == dom, (seed, delta)
             if delta == 1:
                 edges_at_zero_radius += sum(map(len, want))
     # the doubled-up points meet at radius 0
@@ -379,7 +406,7 @@ def test_disk_graph_far_from_origin():
                Point(base + 2.0, base + 6.0), Point(base + 2.0, base + 12.0),
                Point(base + 9.5, base)]
         radii = [1.0, 1.0, 3.0, 3.0, 0.0]
-        assert disk_graph(pts, radii) == [{1}, {0}, {3}, {2}, set()], base
+        assert _as_sets(disk_graph(pts, radii)) == [{1}, {0}, {3}, {2}, set()], base
 
 
 @pytest.mark.parametrize("offset", [0.0, -3e15])
@@ -401,7 +428,7 @@ def test_disk_graph_adversarial(offset, scale):
     pts.append(Point(offset, offset + scale))
     radii = [rng.choice([0.0, 0.0, 0.25 * scale, 0.5 * scale]) for _ in pts[:-1]]
     radii.append(0.5 * scale)
-    assert disk_graph(pts, radii) == _disk_graph_reference(pts, radii)
+    assert _as_sets(disk_graph(pts, radii)) == _disk_graph_reference(pts, radii)
 
 
 def test_k_burning_nonuniform_matches_reference(monkeypatch):
@@ -427,12 +454,33 @@ def test_k_burning_nonuniform_matches_reference(monkeypatch):
 def test_disk_graph_and_dominating_set():
     pts = [Point(0, 0), Point(2, 0), Point(4, 0)]
     nbrs = disk_graph(pts, [1.0, 1.0, 1.0])
-    assert nbrs == [{1}, {0, 2}, {1}]
+    assert _as_sets(nbrs) == [{1}, {0, 2}, {1}]
     assert dominating_set_greedy(nbrs) == [1]
 
     lonely = disk_graph(pts, [0.5, 0.5, 0.5])
-    assert lonely == [set(), set(), set()]
+    assert _as_sets(lonely) == [set(), set(), set()]
     assert dominating_set_greedy(lonely) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 129])
+def test_closed_neighborhoods_match_reference(n):
+    # sizes around the 64-row block; a quarter of the points double up
+    # an earlier one, and radii of 0 leave some vertices isolated and
+    # join coincident ones only
+    rng = random.Random(n)
+    pts = []
+    for _ in range(n):
+        if pts and rng.random() < 0.25:
+            pts.append(rng.choice(pts))
+        else:
+            pts.append(Point(rng.uniform(0, 12), rng.uniform(0, 12)))
+    for radii in ([0.0] * n, [rng.choice([0.0, 0.5, 1.5]) for _ in range(n)]):
+        got = disk_graph(pts, radii)
+        want = _as_sets(got)
+        assert want == _disk_graph_reference(pts, radii)
+        assert closed_neighborhoods(got) == _closed_reference(want), radii
+        assert closed_neighborhoods(want) == _closed_reference(want), radii
+    assert closed_neighborhoods([set() for _ in range(n)]) == [1 << v for v in range(n)]
 
 
 def test_zone_of():
