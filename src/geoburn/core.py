@@ -10,12 +10,13 @@ One predicate decides "burns" everywhere: a fire at (cx, cy) with reach
 reach``.  ``burns`` and ``is_burned`` make that test one pair at a time,
 ``within`` over arrays on a line, where ``math.hypot(dx, 0.0) == abs(dx)``.
 The all-pairs kernel has two steps: ``squared_distances`` computes the
-center-to-point squares in place, and ``reach_hits`` settles them against
-one reach per center, exactly (the squares decide away from the boundary,
-``math.hypot`` near it), into a boolean hit matrix that ``pack_masks``
-turns into bitmasks.  ``reach_masks`` chains the three for the fire masks
-of ``cover`` and the pipelines; ``cover.fire_masks`` computes the squares
-once per table and settles them once per radius.  ``Instance.coords`` is
+center-to-point squares in place, and ``reach_hits``, the one exact pair
+test, settles them against one reach per center or per pair (the squares
+decide away from the boundary, ``math.hypot`` near it) into a boolean hit
+matrix that ``pack_masks`` turns into bitmasks.  ``cover.coverage_masks``
+chains the three; ``cover.fire_masks`` computes the squares once per
+table and settles them once per radius, and ``cover.disk_graph`` settles
+each pair against ``(r_i + r_j) + TOL``.  ``Instance.coords`` is
 the instance's (n, 2) coordinate array, built once per instance, which
 the fire tables and the validator read.  The validator keeps the columns
 of its hit matrix (``burn_hits``) that no fire holds as packed bits, one
@@ -188,21 +189,6 @@ def burn_radius(source: BurnSource, total_steps: int) -> float:
     return source.rate * (total_steps - source.step)
 
 
-def _settle(d2: np.ndarray, reach: np.ndarray, exact: Callable[[tuple], bool]) -> np.ndarray:
-    # the squares decide outside a band 16 ulps wide around reach^2, where
-    # their rounding cannot flip hypot's verdict; exact(index) decides in
-    # it, and wherever reach lies outside [2^-480, 2^480], where a square
-    # could overflow or lose bits: r2 is NaN there, so neither test holds
-    # (an overflowed d2 lies beyond any other reach)
-    r2 = np.where((reach >= 2.0 ** -480) & (reach <= 2.0 ** 480), reach * reach, np.nan)
-    hit = d2 < r2 * (1.0 - 2.0 ** -48)
-    far = d2 > r2 * (1.0 + 2.0 ** -48)
-    if np.count_nonzero(hit) + np.count_nonzero(far) != hit.size:
-        for k in zip(*np.nonzero(~(hit | far))):
-            hit[k] = exact(k)
-    return hit
-
-
 def within(dx, reach) -> np.ndarray:
     """``abs(dx) <= reach`` elementwise: on a line, exactly ``math.hypot(dx, 0.0) <= reach``."""
     return np.abs(dx) <= reach
@@ -231,16 +217,26 @@ def squared_distances(C: np.ndarray, P: np.ndarray) -> np.ndarray:
     return d2
 
 
-def reach_hits(d2: np.ndarray, reaches: Sequence[float] | np.ndarray,
-               C: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """(m, n) booleans: center i's reach holds point j, ``within``'s exact verdict.
+def reach_hits(d2: np.ndarray, reach: np.ndarray, C: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """(m, n) booleans: center i's reach holds point j, ``math.hypot``'s exact verdict.
 
-    ``d2`` are ``squared_distances(C, P)``; ``reaches`` holds one reach
-    (radius + TOL) per center.
+    ``d2`` are ``squared_distances(C, P)``; ``reach`` (radius + TOL)
+    broadcasts against them: one per center, shape (m, 1), or one per pair.
     """
-    R = np.asarray(reaches, dtype=float)[:, None]
+    # the squares decide outside a band 16 ulps wide around reach^2, where
+    # their rounding cannot flip hypot's verdict; hypot decides in it, and
+    # wherever reach lies outside [2^-480, 2^480], where a square could
+    # overflow or lose bits: r2 is NaN there, so neither test holds (an
+    # overflowed d2 lies beyond any other reach)
     with np.errstate(over="ignore"):
-        return _settle(d2, R, lambda k: math.hypot(*(P[k[1]] - C[k[0]])) <= R[k[0], 0])
+        r2 = np.where((reach >= 2.0 ** -480) & (reach <= 2.0 ** 480), reach * reach, np.nan)
+        hit = d2 < r2 * (1.0 - 2.0 ** -48)
+        far = d2 > r2 * (1.0 + 2.0 ** -48)
+        if np.count_nonzero(hit) + np.count_nonzero(far) != hit.size:
+            R = np.broadcast_to(reach, d2.shape)
+            for i, j in zip(*np.nonzero(~(hit | far))):
+                hit[i, j] = math.hypot(*(P[j] - C[i])) <= R[i, j]
+    return hit
 
 
 def pack_masks(hits: np.ndarray) -> list[int]:
@@ -249,21 +245,11 @@ def pack_masks(hits: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def reach_masks(centers: Sequence[Point] | np.ndarray, reaches: Sequence[float] | np.ndarray,
-                points: Sequence[Point] | np.ndarray) -> list[int]:
-    """Per center, the bitmask of the points ``within`` its reach (radius + TOL).
-
-    Centers and points are Point sequences or (m, 2) float arrays.
-    """
-    C, P = _coords(centers), _coords(points)
-    return pack_masks(reach_hits(squared_distances(C, P), reaches, C, P))
-
-
 def burn_hits(sources: Sequence[BurnSource], step: int, P: np.ndarray) -> np.ndarray:
     """``reach_hits`` of the sources' fire disks at the end of ``step`` over points P (n, 2)."""
     C = _coords([s.center for s in sources])
-    return reach_hits(squared_distances(C, P), [burn_radius(s, step) + TOL for s in sources],
-                      C, P)
+    reach = np.array([burn_radius(s, step) + TOL for s in sources], dtype=float)[:, None]
+    return reach_hits(squared_distances(C, P), reach, C, P)
 
 
 def burn_masks(sources: Sequence[BurnSource], step: int, points: Sequence[Point]) -> list[int]:

@@ -28,11 +28,9 @@ from geoburn.core import (
     Model,
     Point,
     _coords,
-    _settle,
     distance,
     pack_masks,
     reach_hits,
-    reach_masks,
     squared_distances,
     within,
 )
@@ -124,14 +122,17 @@ def coverage_mask(center: Point, radius: float, points: Sequence[Point]) -> int:
     return coverage_masks((center,), radius, points)[0]
 
 
-def coverage_masks(centers: Sequence[Point] | np.ndarray, radius: float | np.ndarray,
+def coverage_masks(centers: Sequence[Point] | np.ndarray, radius: float,
                    points: Sequence[Point] | np.ndarray) -> list[int]:
-    """coverage_mask for many centers at once: ``core.reach_masks`` at reach radius + TOL.
+    """coverage_mask for many centers at once, each at reach radius + TOL.
 
-    Centers and points are Point sequences or (m, 2) float arrays; the
-    radius is one for all centers or an array of one per center.
+    Centers and points are Point sequences or (m, 2) float arrays.  The
+    masks are ``core.pack_masks`` of ``core.reach_hits`` over
+    ``core.squared_distances``.
     """
-    return reach_masks(centers, np.full(len(centers), radius + TOL), points)
+    C, P = _coords(centers), _coords(points)
+    reach = np.full((len(C), 1), radius + TOL)
+    return pack_masks(reach_hits(squared_distances(C, P), reach, C, P))
 
 
 def line_fire_centers(xs: np.ndarray, radius: float | np.ndarray) -> np.ndarray:
@@ -158,16 +159,16 @@ def fire_masks(inst: Instance, model: Model, sources: Sequence[int]
     ``at(rho)`` holds an (ident, coverage mask) entry per fire that spreads
     rho steps, at radius ``rate * rho``.  Point model: the idents are
     ``sources``, in order; their squared distances to ``inst.coords`` are
-    computed once per table, and each rho only settles them against the
-    reaches ``rate * rho + TOL`` (``core.reach_hits``).  Anywhere model:
-    the idents are centers, one ``coverage_masks`` call per rho; in the
+    computed once per table, and each rho only settles them against one
+    reach ``rate * rho + TOL`` per source (``core.reach_hits``).  Anywhere
+    model: the idents are centers, one ``coverage_masks`` call per rho; in the
     plane the candidate centers (built once), and on a line the
     ``line_fire_centers`` of the points (a fire slid right until its right
     edge sits on a point keeps all it covered).
     """
     P = inst.coords
     if model.tag == POINT:
-        C, rates = P[list(sources)], np.array([inst.rates[i] for i in sources])
+        C, rates = P[list(sources)], np.array([inst.rates[i] for i in sources])[:, None]
         d2 = squared_distances(C, P)
 
         def build(rho: int) -> list[tuple[object, int]]:
@@ -237,58 +238,53 @@ def greedy_cover(masks: Sequence[int], full: int) -> tuple[list[int], int]:
     return picked, left
 
 
-def disk_cover_greedy(points: Sequence[Point], radius: float,
-                      candidates: Sequence[Point],
-                      cand_masks: Sequence[int] | None = None) -> list[Point]:
-    """``greedy_cover`` of ``points`` by the candidates' masks ``cand_masks``.
+def disk_cover_greedy(cand_masks: Sequence[int], n: int) -> list[int]:
+    """``greedy_cover`` of n points by the candidates' masks: the picked indices.
 
-    The masks are computed here when not given.  Raises ValueError if the
-    candidates cannot cover some point.
+    Raises ValueError if the candidates cannot cover some point.
     """
-    if cand_masks is None:
-        cand_masks = coverage_masks(candidates, radius, points)
-    picked, left = greedy_cover(cand_masks, (1 << len(points)) - 1)
+    picked, left = greedy_cover(cand_masks, (1 << n) - 1)
     if left:
         raise ValueError("candidate centers cannot cover every point")
-    return [candidates[i] for i in picked]
+    return picked
 
 
-def disk_cover_local_search(points: Sequence[Point], radius: float,
-                            chosen: Sequence[Point],
-                            candidates: Sequence[Point],
-                            swap_budget: int,
-                            cand_masks: Sequence[int] | None = None
-                            ) -> list[Point]:
-    """Shrink a cover by replacing j chosen disks with j-1 candidates.
+def disk_cover_local_search(cand_masks: Sequence[int], n: int, chosen: Sequence[int],
+                            swap_budget: int) -> list[int]:
+    """Shrink a cover of n points by replacing j chosen disks with j-1 candidates.
 
-    Tries swap sizes j = 2..swap_budget until no swap applies: drop sets
-    in lexicographic order, and for each the lexicographically first
-    j-1 candidates that cover the hole it leaves (see ``_cover_hole``).
-    Candidates are grouped by equal coverage mask once per call, and the
-    union of the kept disks comes from a table of ORs over index ranges
-    of the current cover.  ``cand_masks`` are the candidates' coverage
-    masks, computed here when not given; the chosen disks' masks come from
-    one ``coverage_masks`` call.  Effort is capped: oversized inputs are
-    returned unchanged.
+    ``chosen`` and the result are indices into ``cand_masks``, the
+    candidates' coverage masks.  Tries swap sizes j = 2..swap_budget until
+    no swap applies: drop sets in lexicographic order, and for each the
+    lexicographically first j-1 candidates that cover the hole it leaves
+    (see ``_cover_hole``).  Candidates are grouped by equal coverage mask
+    once per call, and the union of the kept disks comes from a table of
+    ORs over index ranges of the current cover.
+
+    Effort is capped, and capped inputs are returned unchanged.  Past 48
+    chosen disks a pass scans over 17,000 drop sets of three; in the
+    benchmark only hopeless guesses get there (greedy covers of 53-136
+    disks against thresholds of 1.5-4.5 at n = 152, beyond greedy's H(n)
+    factor, so no swaps could get them accepted).  Past 4000 candidates
+    the hole searches dominate: without that cap, six density-scaled
+    anywhere solves at n = 100-150 (eps = 0.5) summed horizon 99 for 106
+    but took 25 times as long.
     """
-    if swap_budget < 2 or len(chosen) > 48 or len(candidates) > 4000:
+    if swap_budget < 2 or len(chosen) > 48 or len(cand_masks) > 4000:
         return list(chosen)
-    if cand_masks is None:
-        cand_masks = coverage_masks(candidates, radius, points)
     mg = _MaskGroups(cand_masks)
-    full = (1 << len(points)) - 1
+    full = (1 << n) - 1
     current = list(chosen)
-    masks = coverage_masks(current, radius, points)
     improved = True
     while improved:
         improved = False
-        count = len(masks)
-        # ors[a][b] is the OR of masks[a:b]
+        count = len(current)
+        # ors[a][b] is the OR of the masks of current[a:b]
         ors = [[0] * (count + 1) for _ in range(count + 1)]
         for a in range(count):
             row, acc = ors[a], 0
             for b in range(a, count):
-                acc |= masks[b]
+                acc |= cand_masks[current[b]]
                 row[b + 1] = acc
         for j in range(2, min(swap_budget, count) + 1):
             for drop in itertools.combinations(range(count), j):
@@ -303,9 +299,7 @@ def disk_cover_local_search(points: Sequence[Point], radius: float,
                     if repl is None:
                         continue
                 current = [c for i, c in enumerate(current) if i not in drop]
-                masks = [mk for i, mk in enumerate(masks) if i not in drop]
-                current.extend(candidates[i] for i in repl)
-                masks.extend(cand_masks[i] for i in repl)
+                current.extend(repl)
                 improved = True
                 break
             if improved:
@@ -401,14 +395,15 @@ def disk_cover_approx(points: Sequence[Point], radius: float,
                       epsilon: float = 1.0) -> list[Point]:
     """Greedy cover polished by local search; swap budget min(ceil(1/eps^2), 3).
 
-    The candidates' coverage masks are computed once and shared by both.
+    The candidates' coverage masks are computed once; both steps work on
+    candidate indices, which become centers at the end.
     """
     cand_masks = coverage_masks(candidates, radius, points)
-    chosen = disk_cover_greedy(points, radius, candidates, cand_masks)
+    chosen = disk_cover_greedy(cand_masks, len(points))
     # below eps = 0.5, where 1/eps^2 can overflow, the budget is 3
     budget = 3 if epsilon < 0.5 else min(math.ceil(1.0 / (epsilon * epsilon)), 3)
-    return disk_cover_local_search(points, radius, chosen, candidates, budget,
-                                   cand_masks)
+    return [candidates[i]
+            for i in disk_cover_local_search(cand_masks, len(points), chosen, budget)]
 
 
 def disk_graph(points: Sequence[Point], radii: Sequence[float]) -> list[np.ndarray]:
@@ -418,10 +413,10 @@ def disk_graph(points: Sequence[Point], radii: Sequence[float]) -> list[np.ndarr
     in no set order, without the vertex itself and without repeats.
 
     The test is the all-pairs one, ``distance(p_i, p_j) <= r_i + r_j +
-    TOL``, over numpy blocks of rows: ``_settle`` decides each pair's
-    squared distance against its reach ``(r_i + r_j) + TOL`` with exactly
-    ``math.hypot``'s verdict.  The points are sorted by x, and each pair
-    is tested once, from its earlier point, only when the later one lies
+    TOL``, over numpy blocks of rows: ``core.reach_hits`` decides each
+    pair's squared distance against its reach ``(r_i + r_j) + TOL`` with
+    exactly ``math.hypot``'s verdict.  The points are sorted by x, and each
+    pair is tested once, from its earlier point, only when the later one lies
     in the earlier one's x-window; a block of rows takes the columns up
     to its last row's window end, which bounds every earlier row's.
 
@@ -452,8 +447,7 @@ def disk_graph(points: Sequence[Point], radii: Sequence[float]) -> list[np.ndarr
         C, Q = S[a:b], S[a:end]
         with np.errstate(over="ignore"):
             reach = R[a:b, None] + R[None, a:end] + TOL
-            hit = _settle(squared_distances(C, Q), reach,
-                          lambda k: math.hypot(*(Q[k[1]] - C[k[0]])) <= reach[k])
+        hit = reach_hits(squared_distances(C, Q), reach, C, Q)
         # each pair once: from the earlier point in x order
         rows, cols = np.nonzero(np.triu(hit, 1))
         tails.append(order[a + rows])
@@ -637,16 +631,15 @@ def sample_covering_radius(centers: Sequence[tuple[float, float]],
 
 
 def max_coverage_groups(groups: Sequence[Sequence[int]],
-                        labels: Sequence[Sequence[object]] | None = None
-                        ) -> list[tuple[int, int]]:
-    """Greedy max coverage picking at most one set per group.
+                        labels: Sequence[Sequence[object]]) -> list[tuple[int, int]]:
+    """Greedy max coverage picking at most one set per group and per label.
 
-    Sets are int bitmasks.  Each round selects the (group, set) pair with
-    the largest number of newly covered elements, preferring lower group
-    index then lower set index on ties, skipping groups already used and,
-    when ``labels`` is given, sets whose label was already used.  Stops
-    when no positive gain remains.  Returns the picked (group, set) index
-    pairs in pick order.
+    Sets are int bitmasks, and ``labels[g][s]`` is set s's label in group
+    g.  Each round selects the (group, set) pair with the largest number
+    of newly covered elements, preferring lower group index then lower set
+    index on ties, skipping groups already used and sets whose label was
+    already used.  Stops when no positive gain remains.  Returns the picked
+    (group, set) index pairs in pick order.
     """
     used_groups: set[int] = set()
     used_labels: set[object] = set()
@@ -658,7 +651,7 @@ def max_coverage_groups(groups: Sequence[Sequence[int]],
             if gi in used_groups:
                 continue
             for si, s in enumerate(sets):
-                if labels is not None and labels[gi][si] in used_labels:
+                if labels[gi][si] in used_labels:
                     continue
                 gain = (s & ~covered).bit_count()
                 if gain > best_gain:
@@ -667,7 +660,6 @@ def max_coverage_groups(groups: Sequence[Sequence[int]],
             return picks
         gi, si = best
         used_groups.add(gi)
-        if labels is not None:
-            used_labels.add(labels[gi][si])
+        used_labels.add(labels[gi][si])
         covered |= groups[gi][si]
         picks.append(best)

@@ -252,6 +252,10 @@ def boundary_fires(draw):
 # within an ulp of the rate-3 fire's reach: d^2 <= (3 + TOL)^2 holds, hypot's test does not
 @example(([BurnSource(Point(0.0, 0.0), 0, 3.0)],
           [Point(-2.9294225391869992, -0.6469030784462196)]))
+# their rounded squares exceed (3 + TOL)^2 by an ulp, yet hypot's test holds
+@example(([BurnSource(Point(0.0, 0.0), 0, 3.0)],
+          [Point(2.5118284421689276, 1.6403407826153746),
+           Point(0.9568379807596692, -2.8433186744675245)]))
 def test_burn_masks_match_burns_on_the_boundary(case):
     sources, points = case
     for source, mask in zip(sources, burn_masks(sources, 1, points)):

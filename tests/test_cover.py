@@ -163,13 +163,14 @@ def test_maximal_masks_matches_reference():
 
 def test_greedy_cover_single_disk_via_midpoint():
     pts = [Point(0, 0), Point(3, 0)]
-    cover = disk_cover_greedy(pts, 2.0, candidate_centers(pts))
-    assert cover == [Point(1.5, 0.0)]
+    cands = candidate_centers(pts)
+    cover = disk_cover_greedy(coverage_masks(cands, 2.0, pts), len(pts))
+    assert [cands[i] for i in cover] == [Point(1.5, 0.0)]
 
 
 def test_greedy_cover_requires_coverable():
     with pytest.raises(ValueError):
-        disk_cover_greedy([Point(0, 0), Point(5, 0)], 1.0, candidates=[Point(0, 0)])
+        disk_cover_greedy(coverage_masks([Point(0, 0)], 1.0, [Point(0, 0), Point(5, 0)]), 2)
 
 
 def test_greedy_cover_random_sweep():
@@ -178,7 +179,8 @@ def test_greedy_cover_random_sweep():
         n = rng.randint(1, 14)
         pts = [Point(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(n)]
         radius = rng.uniform(0.5, 4.0)
-        cover = disk_cover_greedy(pts, radius, candidate_centers(pts))
+        cands = candidate_centers(pts)
+        cover = [cands[i] for i in disk_cover_greedy(coverage_masks(cands, radius, pts), n)]
         for p in pts:
             assert any(distance(p, c) <= radius + 1e-9 for c in cover)
 
@@ -190,7 +192,7 @@ def test_local_search_beats_plain_greedy():
     xs = (0.0, 0.1, 0.2, 1.8, 1.9, 2.0, 2.8, 2.9, 3.0, 4.6, 4.7, 4.8)
     pts = [Point(x, 0.0) for x in xs]
     cands = candidate_centers(pts)
-    greedy = disk_cover_greedy(pts, 1.0, cands)
+    greedy = disk_cover_greedy(coverage_masks(cands, 1.0, pts), len(pts))
     polished = disk_cover_approx(pts, 1.0, cands, epsilon=0.5)
     assert len(greedy) == 3
     assert len(polished) == 2
@@ -203,7 +205,7 @@ def test_swap_budget_formula(monkeypatch):
     # that is finite, boundaries included, and 3 where 1/eps^2 overflows
     budgets = []
     monkeypatch.setattr("geoburn.cover.disk_cover_local_search",
-                        lambda pts, r, chosen, cands, budget, masks:
+                        lambda masks, n, chosen, budget:
                         budgets.append(budget) or chosen)
     pts = [Point(0.0, 0.0), Point(1.0, 0.0)]
     sweep = (1e-300, 1e-160, 1e-3, 0.3, 0.49, 0.5, 0.51, 0.6,
@@ -285,12 +287,13 @@ def test_local_search_matches_enumeration():
     # on this line only a 4-for-3 swap improves greedy's five disks
     pts = [Point(x, 0.0) for x in (0.1, 1.7, 1.9, 3.3, 3.4, 5.0, 5.8, 7.8, 10.7)]
     cands = candidate_centers(pts, circumcenters=False)
-    chosen = disk_cover_greedy(pts, 1.0, cands)
+    masks = coverage_masks(cands, 1.0, pts)
+    chosen = disk_cover_greedy(masks, len(pts))
     assert len(chosen) == 5
-    assert len(disk_cover_local_search(pts, 1.0, chosen, cands, 3)) == 5
-    polished = disk_cover_local_search(pts, 1.0, chosen, cands, 4)
+    assert len(disk_cover_local_search(masks, len(pts), chosen, 3)) == 5
+    polished = [cands[i] for i in disk_cover_local_search(masks, len(pts), chosen, 4)]
     assert len(polished) == 4
-    assert polished == _local_search_reference(pts, 1.0, chosen, cands, 4)
+    assert polished == _local_search_reference(pts, 1.0, [cands[i] for i in chosen], cands, 4)
 
     rng = random.Random(2718)
     for _ in range(40):
@@ -298,9 +301,27 @@ def test_local_search_matches_enumeration():
         pts = [Point(rng.uniform(0, 8), rng.uniform(0, 8)) for _ in range(n)]
         radius = rng.uniform(1.0, 2.5)
         cands = candidate_centers(pts, circumcenters=False)
-        chosen = disk_cover_greedy(pts, radius, cands)
-        want = _local_search_reference(pts, radius, chosen, cands, 4)
-        assert disk_cover_local_search(pts, radius, chosen, cands, 4) == want
+        masks = coverage_masks(cands, radius, pts)
+        chosen = disk_cover_greedy(masks, n)
+        want = _local_search_reference(pts, radius, [cands[i] for i in chosen], cands, 4)
+        assert [cands[i] for i in disk_cover_local_search(masks, n, chosen, 4)] == want
+
+
+def test_approx_builds_masks_once(monkeypatch):
+    # the candidates' masks are built once per call, and local search
+    # reads the chosen disks' masks from them
+    calls = []
+    masks = coverage_masks
+
+    def counted(*args):
+        calls.append(1)
+        return masks(*args)
+
+    monkeypatch.setattr("geoburn.cover.coverage_masks", counted)
+    xs = (0.0, 0.1, 0.2, 1.8, 1.9, 2.0, 2.8, 2.9, 3.0, 4.6, 4.7, 4.8)
+    pts = [Point(x, 0.0) for x in xs]
+    assert len(disk_cover_approx(pts, 1.0, candidate_centers(pts), epsilon=0.5)) == 2
+    assert len(calls) == 1
 
 
 def _disk_graph_reference(points, radii):
@@ -558,11 +579,11 @@ def test_scaled_template_geometry():
 
 def test_max_coverage_groups():
     groups = [[0b11, 0b100], [0b111]]
-    assert max_coverage_groups(groups) == [(1, 0)]
+    assert max_coverage_groups(groups, [["a", "b"], ["c"]]) == [(1, 0)]
 
     # tie prefers the lower group index
     even = [[0b11], [0b1100]]
-    assert max_coverage_groups(even) == [(0, 0), (1, 0)]
+    assert max_coverage_groups(even, [["a"], ["b"]]) == [(0, 0), (1, 0)]
 
     # a used label blocks later picks from other groups
     labeled = [[0b11, 0b100], [0b111]]

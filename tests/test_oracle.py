@@ -22,6 +22,7 @@ from geoburn import cover
 from geoburn.cover import (
     candidate_centers,
     coverage_mask,
+    coverage_masks,
     disk_cover_greedy,
     disk_graph,
     fire_masks,
@@ -375,7 +376,7 @@ def test_exact_disk_cover():
         pts = [Point(rng.uniform(0, 8), rng.uniform(0, 8)) for _ in range(n)]
         radius = rng.uniform(0.5, 3.0)
         exact = exact_disk_cover(pts, radius)
-        greedy = disk_cover_greedy(pts, radius, candidate_centers(pts))
+        greedy = disk_cover_greedy(coverage_masks(candidate_centers(pts), radius, pts), n)
         assert len(exact) <= len(greedy)
         for p in pts:
             assert any(abs(p.x - c.x) ** 2 + (p.y - c.y) ** 2
