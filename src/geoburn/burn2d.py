@@ -255,9 +255,11 @@ def max_burn_schedule(inst: Instance, q: int) -> tuple[int, BurnSchedule]:
     """Burn as many points as possible in q steps from designated sources.
 
     Group rho in {0..q-1} offers, per source, the points its fire burns in
-    rho steps (the ``fire_masks`` that ``exact_max_burn`` reads); a greedy
-    picks at most one set per group and each source once, igniting source
-    s with multiplier rho at step q - rho.  At least half the best count.
+    rho steps (the ``fire_masks`` that ``exact_max_burn`` reads);
+    ``max_coverage_groups`` (``greedy_cover`` with a tag bit per group and
+    per source) picks at most one set per group and each source once,
+    igniting source s with multiplier rho at step q - rho.  At least half
+    the best count.
     """
     if inst.sources is None:
         raise ValueError("instance designates no sources")

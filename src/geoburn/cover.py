@@ -3,10 +3,10 @@
 Contents: candidate center generation (input points, pair midpoints,
 circumcenters), coverage masks and the per-solve fire-mask tables, the
 maximal-mask filter that prunes the exact searches, one lazy greedy set
-cover (disk covers, with an optional local-search polish, and dominating
-sets of disk graphs), the frozen five-disk covering template with a
-rigorous verifier, the annulus zones used by the planar point-model
-pipeline, and a grouped max-coverage greedy.
+cover (disk covers, with an optional local-search polish, dominating
+sets of disk graphs, and grouped max coverage through tag bits), the
+frozen five-disk covering template with a rigorous verifier, and the
+annulus zones used by the planar point-model pipeline.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import heapq
 import itertools
 import math
 import sys
-from functools import cache, lru_cache
+from functools import cache, lru_cache, reduce
+from operator import or_
 from typing import Callable, Sequence
 
 import numpy as np
@@ -218,21 +219,27 @@ def maximal_masks(entries: Sequence[tuple[object, int]]) -> list[tuple[object, i
 def greedy_cover(masks: Sequence[int], full: int) -> tuple[list[int], int]:
     """Greedy set cover of ``full``: (picked indices, bits left uncovered).
 
-    Each round picks the mask adding the most bits, the lowest index on
-    ties, until none adds a bit.  It runs lazily over a heap keyed by
-    (-gain, index): gains only fall, so every key bounds its mask's gain,
-    and a popped mask whose gain equals its key is the eager scan's pick.
+    Each round picks the mask adding the most bits of ``full``, the lowest
+    index on ties, until none adds a bit.  A mask's bits outside ``full``
+    are tags: a mask sharing a tag with a picked mask is never picked.
+    It runs lazily over a heap keyed by (-gain, index): gains only fall,
+    so every key bounds its mask's gain, and a popped mask whose gain
+    equals its key is the eager scan's pick.
     """
     heap = [(-(m & full).bit_count(), i) for i, m in enumerate(masks)]
     heapq.heapify(heap)
     left = full
+    tags = 0
     picked: list[int] = []
     while left and heap:
         key, i = heapq.heappop(heap)
+        if tags and masks[i] & tags:
+            continue
         gain = (masks[i] & left).bit_count()
         if gain and gain == -key:
             picked.append(i)
             left &= ~masks[i]
+            tags |= masks[i] & ~full
         elif gain:
             heapq.heappush(heap, (-gain, i))
     return picked, left
@@ -635,31 +642,14 @@ def max_coverage_groups(groups: Sequence[Sequence[int]],
     """Greedy max coverage picking at most one set per group and per label.
 
     Sets are int bitmasks, and ``labels[g][s]`` is set s's label in group
-    g.  Each round selects the (group, set) pair with the largest number
-    of newly covered elements, preferring lower group index then lower set
-    index on ties, skipping groups already used and sets whose label was
-    already used.  Stops when no positive gain remains.  Returns the picked
-    (group, set) index pairs in pick order.
+    g.  ``greedy_cover`` runs over the sets in (group, set) order, each
+    tagged above the elements with a bit for its group and one for its
+    label.  Returns the picked (group, set) index pairs in pick order.
     """
-    used_groups: set[int] = set()
-    used_labels: set[object] = set()
-    covered = 0
-    picks: list[tuple[int, int]] = []
-    while True:
-        best_gain, best = 0, None
-        for gi, sets in enumerate(groups):
-            if gi in used_groups:
-                continue
-            for si, s in enumerate(sets):
-                if labels[gi][si] in used_labels:
-                    continue
-                gain = (s & ~covered).bit_count()
-                if gain > best_gain:
-                    best_gain, best = gain, (gi, si)
-        if best is None:
-            return picks
-        gi, si = best
-        used_groups.add(gi)
-        used_labels.add(labels[gi][si])
-        covered |= groups[gi][si]
-        picks.append(best)
+    full = reduce(or_, itertools.chain.from_iterable(groups), 0)
+    one = 1 << full.bit_length()  # the lowest tag bit
+    label_tag = {label: one << (len(groups) + i) for i, label in
+                 enumerate(dict.fromkeys(itertools.chain.from_iterable(labels)))}
+    pairs = [(g, s) for g, sets in enumerate(groups) for s in range(len(sets))]
+    masks = [groups[g][s] | one << g | label_tag[labels[g][s]] for g, s in pairs]
+    return [pairs[i] for i in greedy_cover(masks, full)[0]]

@@ -383,6 +383,18 @@ def brute_force_burnable(layout: ReductionLayout,
     return sched
 
 
+# (name, literals drawn, clauses as positions of the drawn literals); a
+# shape is offered while enough literals remain, in this order
+_LSAT_SHAPES = (
+    ("single1", 1, ((0,),)),
+    ("single2", 2, ((0, 1),)),
+    ("single3", 3, ((0, 1, 2),)),
+    ("pair22", 3, ((0, 1), (1, 2))),
+    ("pair32", 4, ((0, 1, 2), (2, 3))),
+    ("pair33", 5, ((0, 1, 2), (2, 3, 4))),
+)
+
+
 def random_lsat(rng, n: int) -> LsatFormula:
     """Random valid formula using every literal of n variables exactly once
     except shared literals, which their two clauses both contain."""
@@ -392,29 +404,9 @@ def random_lsat(rng, n: int) -> LsatFormula:
     rng.shuffle(pool)
     clauses: list[tuple[int, ...]] = []
     while pool:
-        k = len(pool)
-        options = ["single1"]
-        if k >= 2:
-            options.append("single2")
-        if k >= 3:
-            options += ["single3", "pair22"]
-        if k >= 4:
-            options.append("pair32")
-        if k >= 5:
-            options.append("pair33")
-        shape = rng.choice(options)
-        if shape == "pair33":
-            a, b, c, d, e = (pool.pop() for _ in range(5))
-            clauses += [(a, b, c), (c, d, e)]
-        elif shape == "pair32":
-            a, b, c, d = (pool.pop() for _ in range(4))
-            clauses += [(a, b, c), (c, d)]
-        elif shape == "pair22":
-            a, b, c = (pool.pop() for _ in range(3))
-            clauses += [(a, b), (b, c)]
-        else:
-            size = int(shape[-1])
-            clauses.append(tuple(pool.pop() for _ in range(size)))
+        _, drawn, shape = rng.choice([s for s in _LSAT_SHAPES if s[1] <= len(pool)])
+        lits = [pool.pop() for _ in range(drawn)]
+        clauses += [tuple(lits[j] for j in clause) for clause in shape]
     return LsatFormula(n, tuple(clauses))
 
 

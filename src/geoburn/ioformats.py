@@ -1,7 +1,10 @@
 """Line-oriented text formats plus seeded instance generators.
 
 Three file kinds, all plain text, one record per line, ``#`` starting a
-comment line (formula files also accept DIMACS-style ``c`` comments):
+comment line (formula files also accept DIMACS-style ``c`` comments).
+Instance and schedule files share one reader: a header line, then one
+``keyword fields`` record per line; every keyword but ``point`` and
+``source`` may appear once, and an unknown keyword is an error.
 
 Instance files::
 
@@ -14,9 +17,11 @@ Instance files::
     sources 0 1
 
 ``dim``, ``name``, ``seed``, and ``sources`` are optional (dim defaults
-to 2).  A third number on a ``point`` line is that point's spread rate;
-omitted rates default to 1.  Loading drops duplicate coordinates with a
-warning, keeps the first occurrence, and remaps source indices, so
+to 2) and may come in any order; the y = 0 check of ``dim 1`` is made
+once the file is read.  A third number on a ``point`` line is that
+point's spread rate; omitted rates default to 1.  Loading drops
+duplicate coordinates with a warning as it reads them, keeps the first
+occurrence, and remaps source indices, so
 writing a loaded file back out is a normal form: parse(write(parse(x)))
 equals parse(x).
 
@@ -87,9 +92,25 @@ def _lines(text: str, comment_prefixes: tuple[str, ...] = ("#",)):
     """Yield (line_no, stripped_line) skipping blanks and comments."""
     for no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if not line or any(line.startswith(p) for p in comment_prefixes):
-            continue
-        yield no, line
+        if line and not line.startswith(comment_prefixes):
+            yield no, line
+
+
+def _records(text: str, header: str, keywords: tuple[str, ...]):
+    """Yield (line_no, keyword, rest) for each line after ``header``."""
+    lines = _lines(text)
+    no, line = next(lines, (1, ""))
+    if line != header:
+        raise ParseError(no, f"expected header {header!r}")
+    fresh = set(keywords)  # keywords that may still come
+    for no, line in lines:
+        key, _, rest = line.partition(" ")
+        if key not in fresh:
+            raise ParseError(no, f"duplicate '{key}' line" if key in keywords
+                             else f"unknown keyword {key!r}")
+        if key != "point" and key != "source":
+            fresh.remove(key)
+        yield no, key, rest
 
 
 def _float(token: str, no: int, what: str) -> float:
@@ -114,35 +135,20 @@ def _int(token: str, no: int, what: str) -> int:
 
 
 def parse_instance(text: str) -> Instance:
-    header_seen = False
-    dim: int | None = None
+    dim = 2
     name = ""
     seed: int | None = None
-    pts: list[tuple[Point, float, int]] = []  # point, rate, line number
+    first: dict[tuple[float, float], int] = {}  # kept coordinates -> index
+    rates: list[float] = []  # of the kept points
+    remap: list[int] = []  # point line -> kept index
+    off_axis = 0  # line of the first point with y != 0
     raw_sources: list[int] | None = None
     sources_line = 0
-    seen: set[str] = set()  # keywords met so far; all but 'point' come once
 
-    for no, line in _lines(text):
-        if not header_seen:
-            if line != "geoburn instance":
-                raise ParseError(no, "expected header 'geoburn instance'")
-            header_seen = True
-            continue
-        key, _, rest = line.partition(" ")
-        fields = rest.split()
-        if key in seen and key != "point":
-            raise ParseError(no, f"duplicate '{key}' line")
-        seen.add(key)
-        if key == "dim":
-            dim = _int(rest.strip(), no, "dimension")
-            if dim not in (1, 2):
-                raise ParseError(no, f"dimension must be 1 or 2, got {dim}")
-        elif key == "name":
-            name = rest.strip()
-        elif key == "seed":
-            seed = _int(rest.strip(), no, "seed")
-        elif key == "point":
+    for no, key, rest in _records(text, "geoburn instance",
+                                    ("dim", "name", "seed", "point", "sources")):
+        if key == "point":
+            fields = rest.split()
             if len(fields) not in (2, 3):
                 raise ParseError(no, "point lines take 'x y' or 'x y rate'")
             x = _float(fields[0], no, "coordinate")
@@ -150,57 +156,39 @@ def parse_instance(text: str) -> Instance:
             rate = _float(fields[2], no, "rate") if len(fields) == 3 else 1.0
             if rate <= 0:
                 raise ParseError(no, f"rate must be positive, got {fields[2]}")
-            pts.append((Point(x, y), rate, no))
-        elif key == "sources":
-            raw_sources = [_int(tok, no, "source index") for tok in fields]
+            if y and not off_axis:
+                off_axis = no
+            kept = first.setdefault((x, y), len(first))
+            remap.append(kept)
+            if kept < len(rates):  # a repeat; the first occurrence is kept
+                warnings.warn(f"line {no}: duplicate point {x:g} {y:g} dropped",
+                              DuplicatePointWarning, stacklevel=2)
+            else:
+                rates.append(rate)
+        elif key == "dim":
+            dim = _int(rest.strip(), no, "dimension")
+            if dim not in (1, 2):
+                raise ParseError(no, f"dimension must be 1 or 2, got {dim}")
+        elif key == "name":
+            name = rest.strip()
+        elif key == "seed":
+            seed = _int(rest.strip(), no, "seed")
+        else:
+            raw_sources = [_int(tok, no, "source index") for tok in rest.split()]
             sources_line = no
-        else:
-            raise ParseError(no, f"unknown keyword {key!r}")
 
-    if not header_seen:
-        raise ParseError(1, "expected header 'geoburn instance'")
-    if dim is None:
-        dim = 2
-    if dim == 1:
-        for pt, _rate, no in pts:
-            if pt.y != 0.0:
-                raise ParseError(no, "dimension-1 points must have y = 0")
-
-    # Drop exact duplicates, first occurrence wins; remap source indices.
-    seen: dict[tuple[float, float], int] = {}
-    keep_pts: list[Point] = []
-    keep_rates: list[float] = []
-    remap: list[int] = []
-    for pt, rate, no in pts:
-        key = (pt.x, pt.y)
-        if key in seen:
-            warnings.warn(
-                f"line {no}: duplicate point {pt.x:g} {pt.y:g} dropped",
-                DuplicatePointWarning,
-                stacklevel=2,
-            )
-            remap.append(seen[key])
-        else:
-            seen[key] = len(keep_pts)
-            remap.append(len(keep_pts))
-            keep_pts.append(pt)
-            keep_rates.append(rate)
-
+    # after the loop: 'dim' may follow the point lines
+    if dim == 1 and off_axis:
+        raise ParseError(off_axis, "dimension-1 points must have y = 0")
     sources: tuple[int, ...] | None = None
     if raw_sources is not None:
         for idx in raw_sources:
-            if not 0 <= idx < len(pts):
+            if not 0 <= idx < len(remap):
                 raise ParseError(sources_line, f"source index {idx} out of range")
         sources = tuple(dict.fromkeys(remap[idx] for idx in raw_sources))
 
-    return Instance(
-        points=tuple(keep_pts),
-        rates=tuple(keep_rates),
-        sources=sources,
-        dimension=dim,
-        name=name,
-        seed=seed,
-    )
+    points = tuple(Point(x, y) for x, y in first)
+    return Instance(points, tuple(rates), sources, dim, name, seed)
 
 
 def write_instance(inst: Instance) -> str:
@@ -225,37 +213,15 @@ def write_instance(inst: Instance) -> str:
 
 
 def parse_schedule(text: str) -> BurnSchedule:
-    header_seen = False
-    tag: str | None = None
-    k: int | None = None
+    tag = POINT
+    k = 1
     steps: int | None = None
     srcs: list[BurnSource] = []
-    seen: set[str] = set()  # keywords met so far; all but 'source' come once
 
-    for no, line in _lines(text):
-        if not header_seen:
-            if line != "geoburn schedule":
-                raise ParseError(no, "expected header 'geoburn schedule'")
-            header_seen = True
-            continue
-        key, _, rest = line.partition(" ")
-        fields = rest.split()
-        if key in seen and key != "source":
-            raise ParseError(no, f"duplicate '{key}' line")
-        seen.add(key)
-        if key == "model":
-            tag = rest.strip()
-            if tag not in (POINT, ANYWHERE):
-                raise ParseError(no, f"model must be '{POINT}' or '{ANYWHERE}'")
-        elif key == "k":
-            k = _int(rest.strip(), no, "k")
-            if k < 1:
-                raise ParseError(no, f"k must be >= 1, got {k}")
-        elif key == "steps":
-            steps = _int(rest.strip(), no, "step count")
-            if steps < 0:
-                raise ParseError(no, f"step count must be >= 0, got {steps}")
-        elif key == "source":
+    for no, key, rest in _records(text, "geoburn schedule",
+                                    ("model", "k", "steps", "source")):
+        if key == "source":
+            fields = rest.split()
             if len(fields) != 4:
                 raise ParseError(no, "source lines take 'x y step rate'")
             x = _float(fields[0], no, "coordinate")
@@ -267,18 +233,22 @@ def parse_schedule(text: str) -> BurnSchedule:
             if rate <= 0:
                 raise ParseError(no, f"rate must be positive, got {fields[3]}")
             srcs.append(BurnSource(Point(x, y), step, rate))
+        elif key == "model":
+            tag = rest.strip()
+            if tag not in (POINT, ANYWHERE):
+                raise ParseError(no, f"model must be '{POINT}' or '{ANYWHERE}'")
+        elif key == "k":
+            k = _int(rest.strip(), no, "k")
+            if k < 1:
+                raise ParseError(no, f"k must be >= 1, got {k}")
         else:
-            raise ParseError(no, f"unknown keyword {key!r}")
+            steps = _int(rest.strip(), no, "step count")
+            if steps < 0:
+                raise ParseError(no, f"step count must be >= 0, got {steps}")
 
-    if not header_seen:
-        raise ParseError(1, "expected header 'geoburn schedule'")
     if steps is None:
         raise ParseError(1, "missing 'steps' line")
-    return BurnSchedule(
-        model=Model(tag=tag if tag is not None else POINT, k=k if k is not None else 1),
-        total_steps=steps,
-        sources=tuple(srcs),
-    )
+    return BurnSchedule(model=Model(tag=tag, k=k), total_steps=steps, sources=tuple(srcs))
 
 
 def write_schedule(sched: BurnSchedule) -> str:

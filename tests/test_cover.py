@@ -116,6 +116,14 @@ def test_greedy_cover_matches_eager_scan():
         assert greedy_cover(masks, full) == (want, left)
 
 
+def test_greedy_cover_skips_masks_sharing_a_tag():
+    # bits above full are tags: b shares a's tag, so c is picked instead,
+    # and tag bits never count as gain
+    a, b, c = 0b00111 | 1 << 5, 0b11000 | 1 << 5, 0b01000 | 0b111 << 6
+    assert greedy_cover([a, b, c], 0b11111) == ([0, 2], 0b10000)
+    assert greedy_cover([a, b, c], 0b11111 | 1 << 5) == ([0, 1], 0)
+
+
 def reference_maximal_masks(entries):
     # the quadratic filter: drop zero masks, masks another mask strictly
     # contains, and every repeat of an earlier equal mask
@@ -593,3 +601,43 @@ def test_max_coverage_groups():
     labels2 = [["a", "b"], ["a"]]
     groups2 = [[0b11000, 0b100000], [0b111]]
     assert max_coverage_groups(groups2, labels2) == [(1, 0), (0, 1)]
+
+
+def eager_max_coverage_groups(groups, labels):
+    # the rescan per round that max_coverage_groups replaced
+    used_groups, used_labels = set(), set()
+    covered = 0
+    picks = []
+    while True:
+        best_gain, best = 0, None
+        for gi, sets in enumerate(groups):
+            if gi in used_groups:
+                continue
+            for si, s in enumerate(sets):
+                if labels[gi][si] in used_labels:
+                    continue
+                gain = (s & ~covered).bit_count()
+                if gain > best_gain:
+                    best_gain, best = gain, (gi, si)
+        if best is None:
+            return picks
+        gi, si = best
+        used_groups.add(gi)
+        used_labels.add(labels[gi][si])
+        covered |= groups[gi][si]
+        picks.append(best)
+
+
+def test_max_coverage_groups_matches_eager():
+    # ties, zero masks, empty groups and labels shared across groups
+    rng = random.Random(19)
+    for _ in range(1000):
+        n = rng.randint(0, 10)
+        groups, labels = [], []
+        for _ in range(rng.randint(0, 5)):
+            size = rng.randint(0, 4)
+            groups.append([rng.getrandbits(n) & rng.getrandbits(n) if n else 0
+                           for _ in range(size)])
+            labels.append([rng.choice("abcde") for _ in range(size)])
+        assert max_coverage_groups(groups, labels) == \
+            eager_max_coverage_groups(groups, labels)

@@ -1,12 +1,24 @@
 """File formats, generators, SVG rendering, and the command line."""
 
+import string
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geoburn.cli import main
-from geoburn.core import ANYWHERE, POINT, Instance, Model, Point, validate_schedule
+from geoburn.core import (
+    ANYWHERE,
+    POINT,
+    BurnSchedule,
+    BurnSource,
+    Instance,
+    Model,
+    Point,
+    validate_schedule,
+)
 from geoburn.hardness import LsatFormula
 from geoburn.ioformats import (
     DuplicatePointWarning,
@@ -100,6 +112,44 @@ def test_instance_rate_column_only_when_needed():
     assert parse_instance(text) == rated
 
 
+def test_instance_dim_after_points():
+    # 'dim' may follow the point lines, so y is checked once the file is read
+    with pytest.raises(ParseError, match="line 3: dimension-1"):
+        parse_instance("geoburn instance\npoint 0 0\npoint 1 2\npoint 3 4\ndim 1\n")
+    inst = parse_instance("geoburn instance\npoint 0 0\npoint 1 0\ndim 1\n")
+    assert inst == Instance.line([0, 1])
+
+
+COORDS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [1e300, -1e300, 1e-300, -1e-300])
+RATES = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+NAMES = st.text(string.ascii_letters + string.digits + " -_.", max_size=12).map(str.strip)
+SEEDS = st.none() | st.integers(-2**63, 2**63)
+
+
+@st.composite
+def instances(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    ys = st.just(0.0) if dim == 1 else COORDS
+    # distinct coordinates: loading drops coincident points by design
+    coords = draw(st.lists(st.tuples(COORDS, ys), max_size=8, unique=True))
+    n = len(coords)
+    rates = draw(st.just(()) | st.lists(RATES, min_size=n, max_size=n))
+    sources = draw(st.none() | st.lists(st.integers(0, max(n - 1, 0)),
+                                        max_size=n, unique=True))
+    points = [Point(x, y) for x, y in coords]
+    return Instance(points, rates, sources, dimension=dim,
+                    name=draw(NAMES), seed=draw(SEEDS))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(instances())
+@example(Instance.planar([(1e300, -1e-300), (-1e300, 1e300)], rates=[1e-300, 1e300],
+                         sources=[1, 0], name="far apart", seed=-7))
+def test_instance_round_trip(inst):
+    assert parse_instance(write_instance(inst)) == inst
+
+
 # ---------------------------------------------------------------------------
 # schedule files
 
@@ -145,6 +195,24 @@ def test_schedule_parse_errors():
     for text, fragment in cases:
         with pytest.raises(ParseError, match=fragment):
             parse_schedule(text)
+
+
+@st.composite
+def schedules(draw):
+    sources = draw(st.lists(st.builds(
+        BurnSource, st.builds(Point, COORDS, COORDS), st.integers(1, 2**40), RATES),
+        max_size=6))
+    return BurnSchedule(Model(draw(st.sampled_from([POINT, ANYWHERE])),
+                              draw(st.integers(1, 2**40))),
+                        draw(st.integers(0, 2**40)), sources)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(schedules())
+@example(BurnSchedule(Model(ANYWHERE, 3), 2,
+                      [BurnSource(Point(1e300, -1e-300), 5, 1e300)]))
+def test_schedule_round_trip(sched):
+    assert parse_schedule(write_schedule(sched)) == sched
 
 
 # ---------------------------------------------------------------------------
