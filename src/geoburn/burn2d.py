@@ -15,6 +15,8 @@ accepted guess as an ignition schedule:
   times optimal.
 * k_burning_nonuniform: dominating set of the rate-scaled disk graph,
   k ignitions per step, horizon stretched by the largest rate ratio h.
+  A guess whose points hold a packing larger than its capacity is
+  rejected before its graph is built (``cover.packing_lower_bound``).
   A source an earlier fire has already burnt is left out when the
   earlier fire alone burns everything it would.  About 1 + h + eps times
   optimal; point_burning_nonuniform is its k = 1 form.
@@ -31,9 +33,12 @@ import math
 from functools import reduce
 from operator import or_
 
+import numpy as np
+
 from geoburn.core import (
     ANYWHERE,
     POINT,
+    TOL,
     BurnSchedule,
     BurnSource,
     GuessTrace,
@@ -54,6 +59,7 @@ from geoburn.cover import (
     dominating_set_greedy,
     fire_masks,
     max_coverage_groups,
+    packing_lower_bound,
     scaled_template,
     zone_of,
 )
@@ -206,6 +212,13 @@ def k_burning_nonuniform(inst: Instance, k: int = 1, epsilon: float = 1.0, *,
     horizon about (1 + h + epsilon) delta* with h the largest rate ratio.
     A source that an earlier fire has already burnt, and whose own fire
     adds no point, is left out.
+
+    Each guess first counts a greedy packing of points pairwise farther
+    apart than r_i + r_j + 2 max(r) + 2 TOL; no two of them share a
+    dominator.  When it holds more than the k delta (1 + epsilon) the guess
+    allows, the guess is rejected without its graph, as the greedy and the
+    exact dominating set would reject it, and traced as a ``lower-bound``
+    entry whose measure is the count.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -215,14 +228,18 @@ def k_burning_nonuniform(inst: Instance, k: int = 1, epsilon: float = 1.0, *,
     trace = GuessTrace(constants={"epsilon": epsilon, "rate_ratio": h})
     if inst.n == 0:
         return 0, BurnSchedule(model, 0, ()), trace
-    pts = inst.points
+    pts, rates = inst.points, np.asarray(inst.rates, dtype=float)
 
     def attempt(delta):
-        radii = [(delta - 1) / 2.0 * r for r in inst.rates]
-        nbrs = disk_graph(pts, radii)
+        radii = (delta - 1) / 2.0 * rates
         threshold = k * delta * (1.0 + epsilon)
+        limit = _ifloor(threshold)
+        bound = packing_lower_bound(inst.coords, radii + (radii.max() + TOL), limit)
+        if bound > limit:
+            return bound, threshold
+        nbrs = disk_graph(inst.coords, radii)
         if strict_oracle:
-            return exact_dominating_set(nbrs, max_size=_ifloor(threshold)), threshold
+            return exact_dominating_set(nbrs, max_size=limit), threshold
         return dominating_set_greedy(nbrs), threshold
 
     delta, dom = trace.search(attempt)

@@ -77,8 +77,10 @@ def _print_trace(trace: GuessTrace, horizon: int) -> None:
         print(f"# constant {key} {format(float(trace.constants[key]), '.17g')}")
     for entry in trace.entries:
         word = "accepted" if entry.accepted else "rejected"
+        # a gated guess names its certified lower bound in place of a measure
+        name = "measure" if entry.kind == "size" else entry.kind
         print(
-            f"# guess {entry.delta} measure {format(entry.measure, '.17g')} "
+            f"# guess {entry.delta} {name} {format(entry.measure, '.17g')} "
             f"threshold {format(entry.threshold, '.17g')} {word}"
         )
     print(f"# horizon {horizon}")

@@ -280,13 +280,16 @@ class GuessEntry:
     Accepted iff ``measure <= threshold`` (+TOL): the measure is the size
     of the cover or dominating set the guess produced (or the ball count a
     feasibility check needed, infinity when infeasible), the threshold the
-    capacity the guess allows.
+    capacity the guess allows.  When ``kind`` is ``"lower-bound"`` the
+    guess built no cover: the measure is a certified lower bound on every
+    cover's size, above the threshold, and the guess is rejected.
     """
 
     delta: int
     measure: float
     threshold: float
     accepted: bool
+    kind: str = "size"
 
 
 @dataclass
@@ -296,17 +299,25 @@ class GuessTrace:
     entries: list[GuessEntry] = field(default_factory=list)
     constants: dict[str, float] = field(default_factory=dict)
 
-    def search(self, attempt: Callable[[int], tuple[Sized | None, float]]
+    def search(self, attempt: Callable[[int], tuple[Sized | int | None, float]]
                ) -> tuple[int, Sized]:
         """Log delta = 1, 2, ... and return the first accepted one with its result.
 
         ``attempt(delta)`` returns the guess's result (None when it has
         none) and threshold; the measure is its size, infinity for None.
+        An attempt that settles its guess without a result returns, in
+        place of the result, an int lower bound above the threshold,
+        logged as a ``"lower-bound"`` entry.
         """
         delta = 0
         while True:
             delta += 1
             result, threshold = attempt(delta)
+            if isinstance(result, int):
+                assert result > threshold + TOL, "a lower bound within the threshold"
+                self.entries.append(GuessEntry(delta, float(result), threshold, False,
+                                               "lower-bound"))
+                continue
             measure = math.inf if result is None else float(len(result))
             accepted = measure <= threshold + TOL
             self.entries.append(GuessEntry(delta, measure, threshold, accepted))

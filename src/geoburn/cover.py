@@ -5,8 +5,9 @@ circumcenters), coverage masks and the per-solve fire-mask tables, the
 maximal-mask filter that prunes the exact searches, one lazy greedy set
 cover (disk covers, with an optional local-search polish, dominating
 sets of disk graphs, and grouped max coverage through tag bits), the
-frozen five-disk covering template with a rigorous verifier, and the
-annulus zones used by the planar point-model pipeline.
+packing lower bound that rejects a dominating-set guess before its disk
+graph is built, the frozen five-disk covering template with a rigorous
+verifier, and the annulus zones used by the planar point-model pipeline.
 """
 
 from __future__ import annotations
@@ -57,8 +58,10 @@ ZONE_COUNT = 13
 ANNULUS_INNER_FRACTION = 26.0 / 27.0
 LATE_REACH_FRACTION = 13.0 / 27.0
 
-# rows of the disk graph's pair tests per block
+# rows of the disk graph's pair tests per block, and the strict upper
+# triangle of a block's leading square: each pair once, from its earlier point
 _GRAPH_BLOCK = 64
+_BLOCK_UPPER = np.triu(np.ones((_GRAPH_BLOCK, _GRAPH_BLOCK), dtype=bool), 1)
 
 
 def circumcenter(a: Point, b: Point, c: Point) -> Point | None:
@@ -413,7 +416,8 @@ def disk_cover_approx(points: Sequence[Point], radius: float,
             for i in disk_cover_local_search(cand_masks, len(points), chosen, budget)]
 
 
-def disk_graph(points: Sequence[Point], radii: Sequence[float]) -> list[np.ndarray]:
+def disk_graph(points: Sequence[Point] | np.ndarray,
+               radii: Sequence[float]) -> list[np.ndarray]:
     """Intersection graph of disks: edge iff centers within r_i + r_j (+TOL).
 
     Returns one 1-D integer array per vertex, of its neighbours' indices
@@ -455,13 +459,17 @@ def disk_graph(points: Sequence[Point], radii: Sequence[float]) -> list[np.ndarr
         with np.errstate(over="ignore"):
             reach = R[a:b, None] + R[None, a:end] + TOL
         hit = reach_hits(squared_distances(C, Q), reach, C, Q)
-        # each pair once: from the earlier point in x order
-        rows, cols = np.nonzero(np.triu(hit, 1))
+        m = b - a
+        hit[:, :m] &= _BLOCK_UPPER[:m, :m]
+        rows, cols = np.nonzero(hit)
         tails.append(order[a + rows])
         heads.append(order[a + cols])
     tail, head = np.concatenate(tails), np.concatenate(heads)
     src, dst = np.concatenate((tail, head)), np.concatenate((head, tail))
-    dst = dst[np.argsort(src)]
+    # a stable sort of 16-bit keys is a radix sort
+    by_src = (np.argsort(src.astype(np.uint16), kind="stable") if n <= 1 << 16
+              else np.argsort(src))
+    dst = dst[by_src]
     ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
     return [dst[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
@@ -495,6 +503,40 @@ def dominating_set_greedy(neighbors: Sequence[np.ndarray | set[int]]) -> list[in
     """
     return greedy_cover(closed_neighborhoods(neighbors),
                         (1 << len(neighbors)) - 1)[0]
+
+
+def packing_lower_bound(coords: Sequence[Point] | np.ndarray, reaches: Sequence[float],
+                        limit: int) -> int:
+    """Greedy packing count of points pairwise beyond their summed reaches.
+
+    Keeps points in input order: a point is kept iff its distance to every
+    kept point exceeds ``(reach_i + reach_j) (1 + 2^-40)``.  Stops once it
+    holds more than ``limit``, so it returns at most ``limit + 1``.
+
+    With ``disk_graph``'s radii r and reaches ``r_i + max(r) + TOL``, two
+    kept points share no dominator: through one, v, their distance is at
+    most ``r_i + 2 r_v + r_j + 2 TOL``.  So the count bounds every
+    dominating set of that graph from below.  The margin 2^-40 covers the
+    rounding on both sides, a few ulps relative each: the graph's hypot
+    verdicts and float reaches, and here the squares of the coordinate
+    differences and of the separations.  That needs reaches of at least
+    TOL, so that no square near a separation is subnormal.  An overflowed
+    square is inf: a distance's keeps a point only against a finite
+    separation, which the pair then truly exceeds, and a separation's
+    keeps none.
+    """
+    P = _coords(coords)
+    x, y = P[:, 0], P[:, 1]
+    reach = np.asarray(reaches, dtype=float) * (1.0 + 2.0 ** -40)
+    count = 0
+    with np.errstate(over="ignore"):
+        # the first point left is the next kept one; the rest keep input order
+        while count <= limit and len(x):
+            count += 1
+            dx, dy, sep = x[1:] - x[0], y[1:] - y[0], reach[0] + reach[1:]
+            far = dx * dx + dy * dy > sep * sep
+            x, y, reach = x[1:][far], y[1:][far], reach[1:][far]
+    return count
 
 
 def zone_of(p: Point, center: Point, delta: float) -> int | None:

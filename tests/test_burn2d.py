@@ -19,6 +19,7 @@ from geoburn.core import (
     POINT,
     BurnSchedule,
     BurnSource,
+    GuessEntry,
     Instance,
     Model,
     Point,
@@ -283,6 +284,19 @@ def test_k_burning_step_capacity():
     assert sched.model.k == 2
     steps = sorted(s.step for s in sched.sources)
     assert steps == [1, 1, 2, 2, 3, 3]
+    assert validate_schedule(inst, sched).valid
+
+
+def test_k_burning_packing_gate_frozen():
+    # six points one apart on a line, rate 1.  At delta = 1 two distinct
+    # points already exceed the capacity 1.01; at delta = 2 the reaches are
+    # 0.5 + 0.5 + TOL, so 0 and 2 (two apart) share the dominator 1 and
+    # only 0 and 3 are packed: the guess goes on to the greedy {1, 4}
+    inst = Instance.planar([(float(i), 0.0) for i in range(6)])
+    horizon, sched, trace = k_burning_nonuniform(inst, 1, 0.01)
+    assert trace.entries == [GuessEntry(1, 2.0, 1.01, False, "lower-bound"),
+                             GuessEntry(2, 2.0, 2.02, True)]
+    assert horizon == 3
     assert validate_schedule(inst, sched).valid
 
 

@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geoburn import burn2d
 from geoburn.burn2d import k_burning_nonuniform
@@ -31,12 +33,14 @@ from geoburn.cover import (
     greedy_cover,
     max_coverage_groups,
     maximal_masks,
+    packing_lower_bound,
     sample_covering_radius,
     scaled_template,
     verify_template,
     zone_diameter_fraction,
     zone_of,
 )
+from geoburn.oracle import exact_dominating_set
 
 
 def test_circumcenter():
@@ -333,7 +337,8 @@ def test_approx_builds_masks_once(monkeypatch):
 
 
 def _disk_graph_reference(points, radii):
-    # disk_graph by the all-pairs loop
+    # disk_graph by the all-pairs loop; points as Points or coordinate rows
+    points = [Point(float(x), float(y)) for x, y in points]
     n = len(points)
     nbrs = [set() for _ in range(n)]
     for i in range(n):
@@ -383,12 +388,12 @@ def _dominating_reference(neighbors):
     return picked
 
 
-def _nonuniform_instance(seed):
+def _nonuniform_instance(seed, max_n=300):
     # uniform or three-hub clustered points on a side of 10 sqrt(n / 20),
-    # a tenth of them doubled up, rates from {1, 1.5, 2} or up to 1e6,
-    # some moved by 1e12
+    # n up to max_n, a tenth of them doubled up, rates from {1, 1.5, 2} or
+    # up to 1e6, some moved by 1e12
     rng = random.Random(seed)
-    n = rng.randint(1, 300)
+    n = rng.randint(1, max_n)
     span = 10.0 * math.sqrt(n / 20.0)
     hubs = [(rng.uniform(0, span), rng.uniform(0, span)) for _ in range(3)]
     coords = []
@@ -461,23 +466,85 @@ def test_disk_graph_adversarial(offset, scale):
 
 
 def test_k_burning_nonuniform_matches_reference(monkeypatch):
-    # horizons and traces as with the all-pairs graph and the eager
-    # greedy, and the sources a subset: only burnt ignitions are dropped
-    got = {}
-    cases = [(seed, k) for seed in range(6) for k in (1, 2, 3)]
-    for seed, k in cases:
-        inst = _nonuniform_instance(seed)
-        got[seed, k] = k_burning_nonuniform(inst, k, 0.5)
+    # the packing gate changes no horizon, schedule or verdict, greedy or
+    # strict (at n <= 60, where the exact search is quick): each guess it
+    # settles is rejected without it too, with a set no smaller than its
+    # bound.  Ungated, horizons and traces are as with
+    # the all-pairs graph and the eager greedy, and the sources a subset:
+    # only burnt ignitions are dropped
+    cases = [(seed, k, strict) for seed in range(6) for k in (1, 2, 3)
+             for strict in (False, True)]
+
+    def solve(seed, k, strict):
+        inst = _nonuniform_instance(seed, 60 if strict else 300)
+        return k_burning_nonuniform(inst, k, 0.5, strict_oracle=strict)
+
+    gated = {case: solve(*case) for case in cases}
+    monkeypatch.setattr(burn2d, "packing_lower_bound", lambda coords, reaches, limit: 0)
+    ungated = {case: solve(*case) for case in cases}
+    lower_bounds = 0
+    for case in cases:
+        (horizon, sched, trace), (h_un, s_un, t_un) = gated[case], ungated[case]
+        assert (horizon, sched) == (h_un, s_un), case
+        assert [(e.delta, e.accepted) for e in trace.entries] == \
+            [(e.delta, e.accepted) for e in t_un.entries], case
+        for e, e_un in zip(trace.entries, t_un.entries):
+            assert e_un.kind == "size", case
+            if e.kind == "lower-bound":
+                lower_bounds += 1
+                assert e.measure > e.threshold and not e_un.accepted, (case, e)
+                # strict: the exact search found no set, measure infinity
+                assert e_un.measure >= e.measure, (case, e, e_un)
+            else:
+                assert e == e_un, case
+    assert lower_bounds > 0
     monkeypatch.setattr(burn2d, "disk_graph", _disk_graph_reference)
     monkeypatch.setattr(burn2d, "dominating_set_greedy", _dominating_reference)
     monkeypatch.setattr(burn2d, "_drop_burnt_ignitions",
                         lambda sources, masks: sources)
-    for seed, k in cases:
-        horizon, sched, trace = got[seed, k]
-        h_ref, s_ref, t_ref = k_burning_nonuniform(_nonuniform_instance(seed), k, 0.5)
+    for seed, k, strict in cases:
+        if strict:
+            continue
+        horizon, sched, trace = ungated[seed, k, strict]
+        h_ref, s_ref, t_ref = solve(seed, k, strict)
         assert horizon == h_ref, (seed, k)
         assert trace.entries == t_ref.entries, (seed, k)
         assert set(sched.sources) <= set(s_ref.sources), (seed, k)
+
+
+# one point: x and y on a small grid (coincident and collinear points),
+# an optional far coordinate that replaces x, and a rate exponent
+_PACKED_POINT = st.tuples(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.5]),
+                          st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+                          st.sampled_from([None, None, None, 1e300, -1e300]),
+                          st.floats(0.0, 6.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_PACKED_POINT, min_size=1, max_size=9), st.booleans(),
+       st.sampled_from([0.0, 1e12, -1e12]), st.sampled_from([1.0, 1e294]))
+@example([(0.0, 0.0, None, 0.0), (2.0, 0.0, None, 0.0), (4.0, 0.0, None, 0.0)],
+         True, 0.0, 1.0)
+@example([(0.0, 0.0, 1e300, 6.0), (0.0, 0.0, -1e300, 0.0), (1.0, 1.0, None, 3.0)],
+         False, 1e12, 1e294)
+def test_packing_lower_bound_never_exceeds_exact_dominating_set(points, line, offset,
+                                                                rate_scale):
+    # k_burning_nonuniform's reaches r_i + max(r) + TOL over the radii
+    # (delta - 1) / 2 rate_i: the packing never holds more points than a
+    # minimum dominating set of the graph has vertices.  On a line (y = 0)
+    # all points are collinear; rates span up to 1e6, and at the far
+    # coordinates a scale of 1e294 makes reaches whose squares overflow
+    coords = [((far if far is not None else x) + offset, (0.0 if line else y) + offset)
+              for x, y, far, _ in points]
+    rates = np.array([rate_scale * 10.0 ** e for *_, e in points])
+    for delta in range(1, 7):
+        radii = (delta - 1) / 2.0 * rates
+        reaches = radii + (radii.max() + TOL)
+        dominators = exact_dominating_set(_disk_graph_reference(coords, radii.tolist()))
+        bound = packing_lower_bound(np.array(coords), reaches, len(coords))
+        assert 1 <= bound <= len(dominators), (delta, bound, dominators)
+        # the count stops once it holds more than the limit
+        assert packing_lower_bound(np.array(coords), reaches, 0) == 1
 
 
 def test_disk_graph_and_dominating_set():

@@ -335,6 +335,20 @@ def test_cli_gen_solve_validate(tmp_path, capsys):
     assert report.valid and not report.violations
 
 
+def test_cli_solve_names_lower_bound_guesses(tmp_path, capsys):
+    # k = 2 runs k_burning_nonuniform, whose packing bound settles the
+    # first guesses: their lines name it, and the schedule still validates
+    assert main(["gen", "--kind", "uniform-square", "--n", "12", "--seed", "3"]) == 0
+    inst_file = _write(tmp_path / "inst.txt", capsys.readouterr().out)
+    assert main(["solve", inst_file, "--k", "2", "--eps", "0.5"]) == 0
+    out = capsys.readouterr().out
+    assert "# guess 1 lower-bound 4 threshold 3 rejected" in out
+    assert "# guess 3 measure 6 threshold 9 accepted" in out
+    sched_file = _write(tmp_path / "ksched.txt", out)
+    assert main(["validate", inst_file, sched_file]) == 0
+    assert capsys.readouterr().out.strip() == "valid"
+
+
 def test_cli_validate_rejects_bad_schedule(tmp_path, capsys):
     inst_file = _write(
         tmp_path / "i.txt", "geoburn instance\npoint 0 0\npoint 50 0\n"
