@@ -466,9 +466,8 @@ def disk_graph(points: Sequence[Point] | np.ndarray,
         heads.append(order[a + cols])
     tail, head = np.concatenate(tails), np.concatenate(heads)
     src, dst = np.concatenate((tail, head)), np.concatenate((head, tail))
-    # a stable sort of 16-bit keys is a radix sort
-    by_src = (np.argsort(src.astype(np.uint16), kind="stable") if n <= 1 << 16
-              else np.argsort(src))
+    # a stable sort of 8- or 16-bit keys is a radix sort
+    by_src = np.argsort(src.astype(np.min_scalar_type(n - 1)), kind="stable")
     dst = dst[by_src]
     ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
     return [dst[lo:hi] for lo, hi in zip([0] + ends, ends)]
