@@ -18,11 +18,31 @@ number, and the first accepted guess needs at most delta * (1 + epsilon)
 When the guess is smaller than the group count, groups degenerate to
 singletons carrying the exact radii delta-1, ..., 0 and the check becomes
 exact; the horizon formula keeps using the nominal t.
+
+Before any table is built, a guess whose balls are too short in total to
+span the points is rejected by a length bound (``too_short``).  Any cover
+of the sorted points by the guess's d balls splits them into at most d
+runs, each inside one ball: a ball's points are contiguous in sorted
+order, because the burn test reads the rounded difference fl(x - c),
+which is monotone in x.  A ball of reach a = R + TOL holds only points at
+most 2a (1 + 2^-52) apart in real numbers, so the runs' extents add up to
+at most the sum of size_j * 2 (R_j + TOL) (1 + 2^-52) over the groups.
+They also add up to every gap but the at most d - 1 gaps between runs, so
+to at least the sum of the n - d smallest gaps.  When the first sum falls
+below the second, no cover exists and the table would reject the guess
+too, so the rejection is logged as the same size entry.  Both sums are
+running float sums of nonnegative terms, each within one rounding per
+term of the real sum; the comparison's margins, 2^-40 each way plus
+2^-52 per term, cover those roundings and the 2^-52 above.  A running
+sum that overflows is, up to those roundings, at least the largest
+float, so the gap side is held there; the length side, at inf, never
+rejects.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -90,6 +110,34 @@ def _first_within(arr: np.ndarray, v: np.ndarray, reach: np.ndarray) -> np.ndarr
             return i
         i = np.where(back, np.searchsorted(arr, prev), i)
         i = np.where(ahead, np.searchsorted(arr, cur, side="right"), i)
+
+
+def gap_spans(xs: list[float]) -> list[float]:
+    """Running sums of the gaps between sorted xs, smallest gap first.
+
+    Entry k - 1 sums the k smallest gaps, left to right in floats.  A sum
+    that overflows is held at the largest float.
+    """
+    with np.errstate(over="ignore"):
+        return np.minimum(np.cumsum(np.sort(np.diff(xs))), sys.float_info.max).tolist()
+
+
+def too_short(spec: GroupSpec, spans: list[float]) -> bool:
+    """True when spec's balls are too short in total to span the points.
+
+    spans is ``gap_spans`` of the sorted points.  The balls' summed
+    diameters at the validator's reach R + TOL fall below the sum of the
+    n - delta smallest gaps (module docstring), so ``cover_line`` would
+    return None.  An overflowed length is inf and never rejects.
+    """
+    keep = len(spans) + 1 - spec.delta
+    if keep <= 0:
+        return False
+    length = sum((size * 2.0 * (radius + TOL)
+                  for size, radius in zip(spec.sizes, spec.radii)), 0.0)
+    # 2^-40 each way, and 2^-52 more per term that either running sum rounds
+    return (length * (1.0 + 2.0 ** -40 + len(spec.sizes) * 2.0 ** -52)
+            < spans[keep - 1] * (1.0 - 2.0 ** -40 - len(spans) * 2.0 ** -52))
 
 
 def cover_line(xs: list[float], spec: GroupSpec, point_model: bool
@@ -191,10 +239,13 @@ def ptas_burning_line(inst: Instance, model: Model | None = None,
     # the radii in input units: a fire spreading r steps reaches rate * r
     rate = inst.rates[0]
     xs = sorted(p.x for p in inst.points)
+    spans = gap_spans(xs)
 
     def attempt(d):
         spec = build_groups(d, t)
         spec = replace(spec, radii=tuple(rate * r for r in spec.radii))
+        if too_short(spec, spans):
+            return None, float(d)
         return cover_line(xs, spec, point_model), float(d)
 
     delta, placements = trace.search(attempt)

@@ -1,34 +1,41 @@
 """Line solver: grouping, sweep, ratios, and rejection soundness."""
 
+import itertools
 import math
 import random
 import sys
 import tracemalloc
 from bisect import bisect_left
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from geoburn import ptas1d
 from geoburn.core import (
     ANYWHERE,
     POINT,
     TOL,
     BurnSource,
+    GuessEntry,
     Instance,
     Model,
     Point,
     burns,
     validate_schedule,
 )
+from geoburn.ioformats import generate
 from geoburn.oracle import CapacityError, exact_burning_number
 from geoburn.ptas1d import (
     GroupSpec,
     _first_within,
     build_groups,
     cover_line,
+    gap_spans,
     ptas_burning_line,
+    too_short,
 )
 
 
@@ -315,3 +322,115 @@ def test_non_unit_rates_far_from_origin_validate(rate, exponent, gaps, model):
     assert validate_schedule(inst, sched).valid
     if model == POINT:
         assert {s.center.x for s in sched.sources} <= set(xs)
+
+
+def scaled_groups(delta, t, rate):
+    # the guess's radius multiset in input units, as ptas_burning_line builds it
+    spec = build_groups(delta, t)
+    return replace(spec, radii=tuple(rate * r for r in spec.radii))
+
+
+@st.composite
+def clustered_lines(draw):
+    # clusters of coincident and nearly coincident points, up to 1e15 from
+    # the origin, spanning from 1e-9 rate units up to 30
+    rate = 10.0 ** draw(st.floats(-6, 6))
+    offset = draw(st.sampled_from([0.0, 1.0, -1.0])) * 10.0 ** draw(st.floats(0, 15))
+    span = rate * 10.0 ** draw(st.floats(-9, 1.5))
+    xs = []
+    for at in draw(st.lists(st.floats(0, 1), min_size=1, max_size=6)):
+        width = draw(st.sampled_from([0.0, 1e-6, 1e-2]))
+        for _ in range(draw(st.integers(1, 3))):
+            xs.append(offset + span * (at + width * draw(st.floats(0, 1))))
+    return sorted(xs), rate, draw(st.sampled_from([1, 2, 4, 8]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(clustered_lines())
+# rate 1e308: the balls of every guess past the first overflow to inf length
+@example(([-1.7e308, -1e308, 0.0, 1e308, 1.7e308], 1e308, 4))
+def test_length_bound_settles_only_coverless_guesses(case):
+    # every guess up to the first cover, in both models: a guess the length
+    # bound settles has no cover from the table either
+    xs, rate, t = case
+    spans = gap_spans(xs)
+    for point_model in (True, False):
+        for delta in itertools.count(1):
+            spec = scaled_groups(delta, t, rate)
+            settled = too_short(spec, spans)
+            got = cover_line(xs, spec, point_model)
+            assert not (settled and got is not None), (delta, xs, rate, t)
+            if got is not None:
+                break
+
+
+def test_length_bound_at_overflow():
+    # the gap sum overflows and is held at the largest float; it settles the
+    # one-ball guess of radius 0, and no guess whose length overflows
+    xs = [-1.7e308, -1e308, 0.0, 1e308, 1.7e308]
+    spans = gap_spans(xs)
+    assert spans[-1] == sys.float_info.max
+    for t in (1, 2, 4, 8):
+        for delta in range(1, 6):
+            spec = scaled_groups(delta, t, 1e308)
+            finite = sum(s * 2.0 * (r + TOL) for s, r in zip(spec.sizes, spec.radii)) < math.inf
+            assert too_short(spec, spans) == finite
+            if finite:
+                assert all(cover_line(xs, spec, pm) is None for pm in (True, False))
+        inst = Instance.line(xs, rates=[1e308] * 5)
+        for tag in (POINT, ANYWHERE):
+            _, sched, _ = ptas_burning_line(inst, Model(tag), 2.0 / t)
+            assert validate_schedule(inst, sched).valid
+
+
+@pytest.mark.parametrize("n", [1000, 2500, 10000])
+def test_length_bound_keeps_every_guess_and_skips_the_tables(n, monkeypatch):
+    # lines of length n / 4: each solve logs the guesses of a plain scan
+    # that builds every table, and builds at most two tables itself
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1].delta)
+        return cover_line(*args)
+
+    monkeypatch.setattr(ptas1d, "cover_line", counted)
+    for seed in (1, 2, 3):
+        inst = generate("collinear", n, seed, span=n / 4)
+        xs = [p.x for p in inst.points]
+        for tag in (POINT, ANYWHERE):
+            plain = []
+            for delta in itertools.count(1):
+                got = cover_line(xs, build_groups(delta, 4), tag == POINT)
+                measure = math.inf if got is None else float(len(got))
+                plain.append(GuessEntry(delta, measure, float(delta), measure <= delta))
+                if got is not None:
+                    break
+            calls.clear()
+            _, _, trace = ptas_burning_line(inst, Model(tag), 0.5)
+            assert trace.entries == plain
+            assert len(calls) <= 2, (n, seed, tag, calls)
+
+
+@st.composite
+def far_lines(draw):
+    # up to 12 points, some coincident, 1e12 from the origin, at rates up to 1e6
+    rate = draw(st.sampled_from([1.0, 0.3, 7.0, 1e3, 1e6]))
+    offset = draw(st.sampled_from([0.0, 1e12, -1e12]))
+    x, xs = offset, []
+    for gap in draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0, 3.5, 6.0]),
+                             min_size=1, max_size=12)):
+        x += gap * rate
+        xs.append(x)
+    return Instance.line(xs, rates=[rate] * len(xs))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(far_lines(), st.sampled_from([POINT, ANYWHERE]))
+def test_far_coincident_fast_lines_validate_within_ratio(inst, tag):
+    model = Model(tag)
+    opt = exact_burning_number(inst, model)[0] if inst.n <= 9 else None
+    for eps in (2.0, 1.0, 0.5):
+        horizon, sched, _ = ptas_burning_line(inst, model, eps)
+        assert validate_schedule(inst, sched).valid
+        if opt is not None:
+            assert horizon <= (1.0 + eps) * opt + 1.0 + 1e-9
