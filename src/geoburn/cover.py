@@ -271,16 +271,19 @@ def disk_cover_local_search(cand_masks: Sequence[int], n: int, chosen: Sequence[
     once per call, and the union of the kept disks comes from a table of
     ORs over index ranges of the current cover.
 
-    Effort is capped, and capped inputs are returned unchanged.  Past 48
-    chosen disks a pass scans over 17,000 drop sets of three; in the
-    benchmark only hopeless guesses get there (greedy covers of 53-136
-    disks against thresholds of 1.5-4.5 at n = 152, beyond greedy's H(n)
-    factor, so no swaps could get them accepted).  Past 4000 candidates
-    the hole searches dominate: without that cap, six density-scaled
-    anywhere solves at n = 100-150 (eps = 0.5) summed horizon 99 for 106
-    but took 25 times as long.
+    Past 48 chosen disks the input is returned unchanged: a pass then
+    scans over 17,000 drop sets of three, and in the benchmark only
+    hopeless guesses get there (greedy covers of 53-136 disks against
+    thresholds of 1.5-4.5 at n = 152, beyond greedy's H(n) factor, so no
+    swaps could get them accepted); searching them anyway took a seed-1
+    plane-cover round from 0.22 to 1.37 s.  The number of candidates is
+    not capped: the hitting walk (``_hopeless``) settles most holes before
+    any scan.  On density-scaled anywhere solves (eps = 0.5, seeds 1-2) a
+    cap at 4000 candidates would raise the summed horizon from 122 to 135
+    at n = 30-40 (for 1.20 -> 0.98 s) and from 99 to 106 at n = 100-150
+    (for 1.91 -> 1.15 s), and no solve is better with it.
     """
-    if swap_budget < 2 or len(chosen) > 48 or len(cand_masks) > 4000:
+    if swap_budget < 2 or len(chosen) > 48:
         return list(chosen)
     mg = _MaskGroups(cand_masks)
     full = (1 << n) - 1
@@ -322,7 +325,8 @@ class _MaskGroups:
 
     ``groups`` holds (mask, ascending indices) in order of each group's
     first index; ``by_bit[b]`` lists, in the same order, the groups whose
-    mask holds bit b.
+    mask holds bit b; ``reach[b]`` is the OR of those groups' masks, every
+    point that shares a candidate with point b (see ``_hopeless``).
     """
 
     def __init__(self, cand_masks: Sequence[int]) -> None:
@@ -332,20 +336,41 @@ class _MaskGroups:
                 index.setdefault(m, []).append(i)
         self.groups = list(index.items())
         self.by_bit: dict[int, list[tuple[int, list[int]]]] = {}
+        self.reach: dict[int, int] = {}
         for g in self.groups:
-            m = g[0]
-            while m:
-                low = m & -m
-                self.by_bit.setdefault(low.bit_length() - 1, []).append(g)
-                m ^= low
+            m = rest = g[0]
+            while rest:
+                low = rest & -rest
+                b = low.bit_length() - 1
+                self.by_bit.setdefault(b, []).append(g)
+                self.reach[b] = self.reach.get(b, 0) | m
+                rest ^= low
+
+
+def _hopeless(rem: int, r: int, mg: _MaskGroups) -> bool:
+    """True when no r candidates cover ``rem``, proved by a hitting walk.
+
+    Take b1 as rem's lowest point and strip ``reach[b1]``, then b2 as the
+    lowest point left, and so on.  No candidate holds both bi and a later
+    bj, since bj lies outside ``reach[bi]``; so points left after r strips
+    give r + 1 points that need r + 1 distinct candidates.  A False says
+    nothing: the walk only certifies, and the scan decides the rest.
+    """
+    for _ in range(r):
+        if rem == 0:
+            return False
+        rem &= ~mg.reach.get((rem & -rem).bit_length() - 1, 0)
+    return rem != 0
 
 
 def _coverable(rem: int, after: int, r: int, mg: _MaskGroups) -> bool:
     # at most r groups, each with a member above index `after`, cover
-    # `rem`; one of them must hold rem's lowest bit
+    # `rem`; one of them must hold rem's lowest bit.  The `after` filter
+    # only removes groups, so a hole that the hitting walk settles for all
+    # groups is settled for these too.
     if rem == 0:
         return True
-    if r == 0:
+    if r == 0 or _hopeless(rem, r, mg):
         return False
     for mask, ix in mg.by_bit.get((rem & -rem).bit_length() - 1, ()):
         if ix[-1] > after:
@@ -371,9 +396,13 @@ def _cover_hole(need: int, mg: _MaskGroups, size: int) -> tuple[int, ...] | None
     once.  r more picks complete a cover iff at most r classes with a
     member above the pick (read off each group's largest index) cover
     the rest of ``need``, and at least r useful candidates lie above the
-    pick.
+    pick.  Each such test (``_coverable``) first runs the hitting walk
+    ``_hopeless``, which proves in r big-int ANDs that no r candidates at
+    all cover the rest; the walk only ever returns a verdict the scan
+    would reach, so the pick is the same with or without it.
     """
-    # most holes fail here: no `size` groups cover them at all
+    # most holes fail here: no `size` groups cover them at all, and the
+    # hitting walk proves it for most of those without scanning a group
     if size == 0 or not _coverable(need, -1, size, mg):
         return None
     useful = [(m, ix) for m, ix in mg.groups if m & need]

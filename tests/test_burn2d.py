@@ -110,6 +110,29 @@ def test_anywhere_midpoint_band():
     assert report.valid, report.summary()
 
 
+# Guess measures (cover sizes) of both planar pipelines on density-scaled
+# squares at seed 1, eps = 0.5, frozen from a local search that scans
+# every hole without the hitting walk; past n = 150 the two pipelines
+# cover with the same candidates.
+_SCALE_MEASURES = {
+    400: (293, 163, 89, 58, 35, 24, 19, 15, 11),
+    1000: (737, 371, 211, 134, 95, 73, 53, 37, 30, 23, 19, 17),
+}
+
+
+@pytest.mark.parametrize("n, point_horizon, anywhere_horizon", [(400, 24, 25), (1000, 35, 34)])
+def test_planar_pipelines_at_scale_frozen(n, point_horizon, anywhere_horizon):
+    # the local search's hole checks at scale: every guess's cover size is
+    # the frozen one, so the search made the same swaps
+    inst = generate("uniform-square", n, 1, span=10.0 * math.sqrt(n / 20))
+    for solve, want in ((point_burning, point_horizon), (anywhere_burning, anywhere_horizon)):
+        horizon, sched, trace = solve(inst, 0.5)
+        assert horizon == want
+        assert tuple(e.measure for e in trace.entries) == _SCALE_MEASURES[n]
+        report = validate_schedule(inst, sched)
+        assert report.valid, report.summary()
+
+
 def test_anywhere_ratio_strict():
     rng = random.Random(20802)
     eps = 0.5

@@ -14,7 +14,9 @@ from geoburn.burn2d import k_burning_nonuniform
 from geoburn.core import TOL, BurnSource, Instance, Point, burns, distance
 from geoburn.cover import (
     _MaskGroups,
+    _coverable,
     _cover_hole,
+    _hopeless,
     ANNULUS_INNER_FRACTION,
     FIVE_COVER_CENTERS,
     FIVE_COVER_RADIUS,
@@ -274,10 +276,8 @@ def _local_search_reference(points, radius, chosen, candidates, swap_budget):
     return current
 
 
-def test_cover_hole_matches_enumeration():
+def _random_holes(rng):
     # duplicate masks, empty masks, and need bits no candidate covers
-    rng = random.Random(314)
-    found = [0, 0, 0, 0]
     for _ in range(4000):
         bits = rng.randint(1, 9)
         pool = [rng.getrandbits(bits) & rng.getrandbits(bits)
@@ -285,14 +285,56 @@ def test_cover_hole_matches_enumeration():
         masks = [rng.choice(pool) if rng.random() < 0.5
                  else rng.getrandbits(bits) & rng.getrandbits(bits)
                  for _ in range(rng.randint(0, 24))]
-        need = rng.getrandbits(bits + 1)
-        size = rng.randint(1, 3)
-        want = _cover_hole_reference(need, masks, size)
-        assert _cover_hole(need, _MaskGroups(masks), size) == want, \
-            (need, masks, size)
-        found[size] += want is not None
-    # every size meets holes that do get covered
-    assert min(found[1:]) > 100
+        yield rng.getrandbits(bits + 1), masks
+
+
+def _cluster_holes(rng):
+    # disks over three or four tight clusters ten units apart, and holes
+    # drawn from one to three of them, so that a hole spanning clusters
+    # needs a disk per cluster: the holes the hitting walk settles
+    for _ in range(400):
+        hubs = [(10.0 * i, 10.0 * rng.random()) for i in range(rng.randint(3, 4))]
+        sizes = [rng.randint(2, 4) for _ in hubs]
+        pts = [Point(rng.gauss(x, 0.5), rng.gauss(y, 0.5))
+               for (x, y), k in zip(hubs, sizes) for _ in range(k)]
+        cands = candidate_centers(pts, circumcenters=False)
+        cands = [cands[i] for i in sorted(rng.sample(range(len(cands)), min(20, len(cands))))]
+        masks = coverage_masks(cands, rng.uniform(0.3, 1.5), pts)
+        spans = [((1 << k) - 1) << sum(sizes[:c]) for c, k in enumerate(sizes)]
+        need = 0
+        for span in rng.sample(spans, rng.randint(1, 3)):
+            need |= span & (rng.getrandbits(len(pts)) | (span & -span))
+        yield need, masks
+
+
+def test_cover_hole_matches_enumeration():
+    rng = random.Random(314)
+    found = {family: [0, 0, 0, 0] for family in ("random", "cluster")}
+    settled = 0
+    for family, holes in (("random", _random_holes(rng)),
+                          ("cluster", _cluster_holes(rng))):
+        for need, masks in holes:
+            mg = _MaskGroups(masks)
+            size = rng.randint(1, 3)
+            want = _cover_hole_reference(need, masks, size)
+            assert _cover_hole(need, mg, size) == want, (need, masks, size)
+            found[family][size] += want is not None
+            # the walk never rejects a hole that some `size` candidates cover
+            if _hopeless(need, size, mg):
+                assert want is None, (need, masks, size)
+                settled += family == "cluster"
+            # `after` drops the candidates up to it; at most `size` of the
+            # rest cover the hole
+            after = rng.randint(-1, len(masks))
+            above = [m if i > after else 0 for i, m in enumerate(masks)]
+            assert _coverable(need, after, size, mg) == (
+                need == 0 or any(_cover_hole_reference(need, above, r) is not None
+                                 for r in range(1, size + 1))), (need, masks, size, after)
+    # every size meets holes that do get covered, in both families, and
+    # the walk settles many of the cluster holes
+    assert min(found["random"][1:]) > 100
+    assert min(found["cluster"][1:]) > 20
+    assert settled >= 100
 
 
 def test_local_search_matches_enumeration():
