@@ -320,6 +320,10 @@ def disk_cover_local_search(cand_masks: Sequence[int], n: int, chosen: Sequence[
     return current
 
 
+class CapacityError(Exception):
+    """The search node budget ran out before an answer was proven."""
+
+
 class _MaskGroups:
     """Candidate indices grouped by equal nonzero coverage mask.
 
@@ -327,9 +331,12 @@ class _MaskGroups:
     first index; ``by_bit[b]`` lists, in the same order, the groups whose
     mask holds bit b; ``reach[b]`` is the OR of those groups' masks, every
     point that shares a candidate with point b (see ``_hopeless``).
+    ``budget`` counts the ``_coverable`` nodes left before CapacityError:
+    infinite for local search, a node budget for ``oracle._min_cover``.
     """
 
     def __init__(self, cand_masks: Sequence[int]) -> None:
+        self.budget = math.inf
         index: dict[int, list[int]] = {}
         for i, m in enumerate(cand_masks):
             if m:
@@ -363,21 +370,33 @@ def _hopeless(rem: int, r: int, mg: _MaskGroups) -> bool:
     return rem != 0
 
 
-def _coverable(rem: int, after: int, r: int, mg: _MaskGroups) -> bool:
-    # at most r groups, each with a member above index `after`, cover
-    # `rem`; one of them must hold rem's lowest bit.  The `after` filter
-    # only removes groups, so a hole that the hitting walk settles for all
-    # groups is settled for these too.
+def _coverable(rem: int, after: int, r: int, mg: _MaskGroups) -> tuple[int, ...] | None:
+    """At most r group masks, each group with a member above index ``after``,
+    that cover ``rem``: the first such cover found, or None.
+
+    One of them holds rem's lowest bit: the search branches on the groups
+    holding it, in group order.  A node is a call that gets past the
+    hitting walk (``_hopeless``); each spends one unit of ``mg.budget``.
+    The ``after`` filter only removes groups, so a hole that the walk
+    settles for all groups is settled for these too.
+    """
     if rem == 0:
-        return True
+        return ()
     if r == 0 or _hopeless(rem, r, mg):
-        return False
+        return None
+    mg.budget -= 1
+    if mg.budget < 0:
+        raise CapacityError("cover search node budget exhausted")
     for mask, ix in mg.by_bit.get((rem & -rem).bit_length() - 1, ()):
         if ix[-1] > after:
             rest = rem & ~mask
-            if rest == 0 or (r > 1 and _coverable(rest, after, r - 1, mg)):
-                return True
-    return False
+            if rest == 0:
+                return (mask,)
+            if r > 1:
+                used = _coverable(rest, after, r - 1, mg)
+                if used is not None:
+                    return (mask,) + used
+    return None
 
 
 def _cover_hole(need: int, mg: _MaskGroups, size: int) -> tuple[int, ...] | None:
@@ -403,7 +422,7 @@ def _cover_hole(need: int, mg: _MaskGroups, size: int) -> tuple[int, ...] | None
     """
     # most holes fail here: no `size` groups cover them at all, and the
     # hitting walk proves it for most of those without scanning a group
-    if size == 0 or not _coverable(need, -1, size, mg):
+    if size == 0 or _coverable(need, -1, size, mg) is None:
         return None
     useful = [(m, ix) for m, ix in mg.groups if m & need]
     pick: list[int] = []
@@ -418,7 +437,7 @@ def _cover_hole(need: int, mg: _MaskGroups, size: int) -> tuple[int, ...] | None
                 # an earlier member of this class admitted no completion
                 continue
             tried.add(key)
-            if (_coverable(need & ~(got | m), i, r, mg)
+            if (_coverable(need & ~(got | m), i, r, mg) is not None
                     and sum(len(ix) - bisect.bisect_right(ix, i)
                             for _, ix in useful) >= r):
                 break

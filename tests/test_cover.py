@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+from functools import reduce
+from operator import or_
 
 import numpy as np
 import pytest
@@ -324,12 +326,19 @@ def test_cover_hole_matches_enumeration():
                 assert want is None, (need, masks, size)
                 settled += family == "cluster"
             # `after` drops the candidates up to it; at most `size` of the
-            # rest cover the hole
+            # rest cover the hole, and the witness is such a cover: group
+            # masks, each with a member above `after`
             after = rng.randint(-1, len(masks))
             above = [m if i > after else 0 for i, m in enumerate(masks)]
-            assert _coverable(need, after, size, mg) == (
+            used = _coverable(need, after, size, mg)
+            assert (used is not None) == (
                 need == 0 or any(_cover_hole_reference(need, above, r) is not None
                                  for r in range(1, size + 1))), (need, masks, size, after)
+            if used is not None:
+                members = dict(mg.groups)
+                assert len(used) <= size, (need, masks, size, after, used)
+                assert all(members[m][-1] > after for m in used), (need, masks, after, used)
+                assert need & ~reduce(or_, used, 0) == 0, (need, masks, used)
     # every size meets holes that do get covered, in both families, and
     # the walk settles many of the cluster holes
     assert min(found["random"][1:]) > 100
@@ -509,19 +518,22 @@ def test_disk_graph_adversarial(offset, scale):
 
 def test_k_burning_nonuniform_matches_reference(monkeypatch):
     # the packing gate changes no horizon, schedule or verdict, greedy or
-    # strict (at n <= 60, where the exact search is quick): each guess it
-    # settles is rejected without it too, with a set no smaller than its
-    # bound.  Ungated, horizons and traces are as with
+    # strict: each guess it settles is rejected without it too, with a set
+    # no smaller than its bound.  Ungated, horizons and traces are as with
     # the all-pairs graph and the eager greedy, and the sources a subset:
     # only burnt ignitions are dropped
     cases = [(seed, k, strict) for seed in range(6) for k in (1, 2, 3)
              for strict in (False, True)]
 
     def solve(seed, k, strict):
-        inst = _nonuniform_instance(seed, 60 if strict else 300)
-        return k_burning_nonuniform(inst, k, 0.5, strict_oracle=strict)
+        return k_burning_nonuniform(_nonuniform_instance(seed), k, 0.5, strict_oracle=strict)
 
     gated = {case: solve(*case) for case in cases}
+    # the strict horizons at n = 29-198, frozen from the branch and bound
+    # that searched on its own before the exact dominating sets moved onto
+    # cover._coverable
+    assert [gated[seed, k, True][0] for seed in range(6) for k in (1, 2, 3)] == [
+        19, 15, 12, 7, 6, 5, 11, 8, 7, 704083, 704083, 704083, 16, 12, 10, 9, 7, 6]
     monkeypatch.setattr(burn2d, "packing_lower_bound", lambda coords, reaches, limit: 0)
     ungated = {case: solve(*case) for case in cases}
     lower_bounds = 0

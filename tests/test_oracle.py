@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import math
 import random
 import sys
 from collections import Counter
@@ -390,6 +391,8 @@ def test_exact_dominating_set():
     assert exact_dominating_set([]) == []
     with pytest.raises(CapacityError):
         exact_dominating_set([set()] * 12, node_budget=3)
+    # the covers run on the local search's kernel, which raises its class
+    assert CapacityError is cover.CapacityError
 
 
 def test_exact_max_burn():
@@ -420,6 +423,43 @@ def test_dominating_set_matches_enumeration():
         assert dom == sorted(set(dom))
         assert set(dom).union(*(nbrs[v] for v in dom)) == set(range(n))
         assert exact_dominating_set(nbrs, max_size=len(dom) - 1) is None
+
+
+def test_exact_covers_at_scale_match_frozen_sizes():
+    # density-scaled squares (side 10 sqrt(n / 20)) past the enumeration's
+    # reach: unit-radius disk graphs at n = 40-100 and equal-disk covers
+    # over the full candidate family at n = 16-32.  The sizes were frozen
+    # from the branch and bound that searched on its own before the
+    # covers moved onto cover._coverable
+    rng = random.Random(7)
+    doms = []
+    for _ in range(12):
+        n = rng.randint(40, 100)
+        side = 10.0 * math.sqrt(n / 20.0)
+        pts = [Point(rng.uniform(0, side), rng.uniform(0, side)) for _ in range(n)]
+        nbrs = disk_graph(pts, [1.0] * n)
+        dom = exact_dominating_set(nbrs)
+        assert set(dom).union(*(nbrs[v] for v in dom)) == set(range(n))
+        assert exact_dominating_set(nbrs, max_size=len(dom) - 1) is None
+        doms.append(len(dom))
+    assert doms == [21, 27, 32, 14, 32, 32, 18, 31, 20, 39, 35, 24]
+    rng = random.Random(8)
+    covers = []
+    for _ in range(60):
+        n = rng.randint(16, 32)
+        side = 10.0 * math.sqrt(n / 20.0)
+        pts = [Point(rng.uniform(0, side), rng.uniform(0, side)) for _ in range(n)]
+        radius = rng.uniform(1.0, 3.0)
+        got = exact_disk_cover(pts, radius)
+        held = 0
+        for m in coverage_masks(got, radius, pts):
+            held |= m
+        assert held == (1 << n) - 1
+        assert exact_disk_cover(pts, radius, max_size=len(got) - 1) is None
+        covers.append(len(got))
+    assert covers == [7, 6, 8, 6, 4, 4, 10, 5, 8, 6, 9, 4, 6, 5, 4, 7, 9, 8, 7, 6,
+                      4, 4, 13, 8, 7, 9, 6, 15, 11, 4, 9, 9, 5, 5, 6, 8, 9, 5, 5, 11,
+                      3, 6, 7, 15, 5, 3, 10, 6, 17, 5, 6, 3, 3, 5, 5, 5, 6, 10, 10, 11]
 
 
 def test_max_burn_matches_enumeration():
