@@ -19,7 +19,7 @@ import math
 import sys
 from functools import cache, lru_cache, reduce
 from operator import or_
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -264,21 +264,24 @@ def disk_cover_local_search(cand_masks: Sequence[int], n: int, chosen: Sequence[
     """Shrink a cover of n points by replacing j chosen disks with j-1 candidates.
 
     ``chosen`` and the result are indices into ``cand_masks``, the
-    candidates' coverage masks.  Tries swap sizes j = 2..swap_budget until
-    no swap applies: drop sets in lexicographic order, and for each the
-    lexicographically first j-1 candidates that cover the hole it leaves
-    (see ``_cover_hole``).  Candidates are grouped by equal coverage mask
-    once per call, and the union of the kept disks comes from a table of
-    ORs over index ranges of the current cover.
+    candidates' coverage masks.  Each pass scans drop sets of j = 2, 3,
+    ..., swap_budget disks, each size in lexicographic order, with the
+    hole each leaves (``_drop_holes``), and applies the first swap found:
+    the lexicographically first j-1 candidates that cover the hole (see
+    ``_cover_hole``).  Passes repeat until none finds a swap.  The
+    hitting walk (``_hopeless``) runs on every hole before
+    ``_cover_hole`` and settles most of them; it rejects only holes that
+    ``_cover_hole`` rejects too, so it changes the cost and not the
+    result.  Candidates are grouped by equal coverage mask once per call.
 
     Past 48 chosen disks the input is returned unchanged: a pass then
     scans over 17,000 drop sets of three, and in the benchmark only
     hopeless guesses get there (greedy covers of 53-136 disks against
     thresholds of 1.5-4.5 at n = 152, beyond greedy's H(n) factor, so no
-    swaps could get them accepted); searching them anyway took a seed-1
-    plane-cover round from 0.22 to 1.37 s.  The number of candidates is
-    not capped: the hitting walk (``_hopeless``) settles most holes before
-    any scan.  On density-scaled anywhere solves (eps = 0.5, seeds 1-2) a
+    swaps could get them accepted); searching them anyway takes a seed-1
+    plane-cover round from 0.18 to 0.93 s (best of three, shared 2-vCPU
+    VM).  The number of candidates is not capped: the hitting walk
+    settles most holes before any scan.  On density-scaled anywhere solves (eps = 0.5, seeds 1-2) a
     cap at 4000 candidates would raise the summed horizon from 122 to 135
     at n = 30-40 (for 1.20 -> 0.98 s) and from 99 to 106 at n = 100-150
     (for 1.91 -> 1.15 s), and no solve is better with it.
@@ -288,36 +291,52 @@ def disk_cover_local_search(cand_masks: Sequence[int], n: int, chosen: Sequence[
     mg = _MaskGroups(cand_masks)
     full = (1 << n) - 1
     current = list(chosen)
-    improved = True
-    while improved:
-        improved = False
-        count = len(current)
-        # ors[a][b] is the OR of the masks of current[a:b]
-        ors = [[0] * (count + 1) for _ in range(count + 1)]
-        for a in range(count):
-            row, acc = ors[a], 0
-            for b in range(a, count):
-                acc |= cand_masks[current[b]]
-                row[b + 1] = acc
-        for j in range(2, min(swap_budget, count) + 1):
-            for drop in itertools.combinations(range(count), j):
-                base = ors[0][drop[0]] | ors[drop[-1] + 1][count]
-                for a, b in zip(drop, drop[1:]):
-                    base |= ors[a + 1][b]
-                need = full & ~base
-                if need == 0:
-                    repl = ()
-                else:
-                    repl = _cover_hole(need, mg, j - 1)
-                    if repl is None:
-                        continue
-                current = [c for i, c in enumerate(current) if i not in drop]
-                current.extend(repl)
-                improved = True
-                break
-            if improved:
-                break
-    return current
+    while True:
+        masks = [cand_masks[c] for c in current]
+        for drop, hole in _drop_holes(masks, full, swap_budget):
+            if hole == 0:
+                repl = ()
+            elif _hopeless(hole, len(drop) - 1, mg):
+                continue
+            else:
+                repl = _cover_hole(hole, mg, len(drop) - 1)
+                if repl is None:
+                    continue
+            current = [c for i, c in enumerate(current) if i not in drop]
+            current.extend(repl)
+            break
+        else:
+            return current
+
+
+def _drop_holes(masks: Sequence[int], full: int,
+                swap_budget: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(drop, hole) for each drop set of j = 2..swap_budget indices into ``masks``.
+
+    Drop sets come as ``itertools.combinations(range(len(masks)), j)``
+    yields them, j ascending; ``hole`` is ``full`` minus the union of
+    the masks left out of ``drop``.  For each (j - 1)-index prefix the
+    kept masks below its last index are ORed once; the last index then
+    runs in a flat loop over a table of ORs of index ranges.
+    """
+    count = len(masks)
+    # ors[a][b] is the OR of masks[a:b]
+    ors = [[0] * (count + 1) for _ in range(count + 1)]
+    for a in range(count):
+        row, acc = ors[a], 0
+        for b in range(a, count):
+            acc |= masks[b]
+            row[b + 1] = acc
+    tail = [ors[d + 1][count] for d in range(count)]
+    for j in range(2, swap_budget + 1):
+        for prefix in itertools.combinations(range(count - 1), j - 1):
+            kept = ors[0][prefix[0]]
+            for a, b in zip(prefix, prefix[1:]):
+                kept |= ors[a + 1][b]
+            low = prefix[-1] + 1
+            row = ors[low]
+            for d in range(low, count):
+                yield prefix + (d,), full & ~(kept | row[d] | tail[d])
 
 
 class CapacityError(Exception):

@@ -18,6 +18,7 @@ from geoburn.cover import (
     _MaskGroups,
     _coverable,
     _cover_hole,
+    _drop_holes,
     _hopeless,
     ANNULUS_INNER_FRACTION,
     FIVE_COVER_CENTERS,
@@ -366,8 +367,66 @@ def test_local_search_matches_enumeration():
         cands = candidate_centers(pts, circumcenters=False)
         masks = coverage_masks(cands, radius, pts)
         chosen = disk_cover_greedy(masks, n)
-        want = _local_search_reference(pts, radius, [cands[i] for i in chosen], cands, 4)
-        assert [cands[i] for i in disk_cover_local_search(masks, n, chosen, 4)] == want
+        for budget in (2, 3, 4):
+            want = _local_search_reference(pts, radius, [cands[i] for i in chosen], cands,
+                                           budget)
+            got = disk_cover_local_search(masks, n, chosen, budget)
+            assert [cands[i] for i in got] == want, (pts, radius, budget)
+
+
+def test_drop_holes_match_combinations():
+    # every drop set in itertools order, j ascending, with its hole
+    # recomputed from scratch; j > count yields nothing
+    rng = random.Random(1618)
+    for count in range(10):
+        for budget in range(2, 6):
+            for _ in range(5):
+                bits = rng.randint(1, 12)
+                full = (1 << bits) - 1
+                masks = [rng.getrandbits(bits) & rng.getrandbits(bits) for _ in range(count)]
+                want = [(drop, full & ~reduce(or_, (m for i, m in enumerate(masks)
+                                                    if i not in drop), 0))
+                        for j in range(2, budget + 1)
+                        for drop in itertools.combinations(range(count), j)]
+                assert list(_drop_holes(masks, full, budget)) == want, (masks, budget)
+
+
+@st.composite
+def _swap_instances(draw):
+    # coincident points (a few sites, many repeats), collinear points
+    # (one line, unit steps) and three hubs seven units apart, so that
+    # some holes span hubs and the hitting walk settles them
+    n = draw(st.integers(3, 12))
+    shape = draw(st.sampled_from(["coincident", "collinear", "hubs"]))
+    if shape == "coincident":
+        sites = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                              min_size=2, max_size=5))
+        pts = [Point(2.0 * x, 2.0 * y) for x, y in (draw(st.sampled_from(sites))
+                                                   for _ in range(n))]
+    elif shape == "collinear":
+        slope = draw(st.sampled_from([0.0, 1.0, -0.5]))
+        xs = draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))
+        pts = [Point(float(x), slope * x) for x in xs]
+    else:
+        hubs = ((0.0, 0.0), (7.0, 0.0), (3.5, 6.0))
+        offsets = draw(st.lists(st.tuples(st.integers(0, 2), st.floats(-2.0, 2.0),
+                                          st.floats(-2.0, 2.0)), min_size=n, max_size=n))
+        pts = [Point(hubs[h][0] + dx, hubs[h][1] + dy) for h, dx, dy in offsets]
+    return pts, draw(st.floats(0.5, 3.0)), draw(st.integers(2, 4)), draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_swap_instances())
+def test_local_search_matches_reference_on_adversarial_points(case):
+    # from greedy's cover, or from a disk on every distinct point, which
+    # leaves many swaps to find
+    pts, radius, budget, greedy = case
+    cands = candidate_centers(pts, circumcenters=False)
+    masks = coverage_masks(cands, radius, pts)
+    chosen = (disk_cover_greedy(masks, len(pts)) if greedy
+              else [i for i, c in enumerate(cands) if c in pts])
+    want = _local_search_reference(pts, radius, [cands[i] for i in chosen], cands, budget)
+    assert [cands[i] for i in disk_cover_local_search(masks, len(pts), chosen, budget)] == want
 
 
 def test_approx_builds_masks_once(monkeypatch):
