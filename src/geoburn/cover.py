@@ -12,7 +12,6 @@ verifier, and the annulus zones used by the planar point-model pipeline.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 import math
@@ -265,14 +264,18 @@ def disk_cover_local_search(cand_masks: Sequence[int], n: int, chosen: Sequence[
 
     ``chosen`` and the result are indices into ``cand_masks``, the
     candidates' coverage masks.  Each pass scans drop sets of j = 2, 3,
-    ..., swap_budget disks, each size in lexicographic order, with the
-    hole each leaves (``_drop_holes``), and applies the first swap found:
-    the lexicographically first j-1 candidates that cover the hole (see
-    ``_cover_hole``).  Passes repeat until none finds a swap.  The
-    hitting walk (``_hopeless``) runs on every hole before
-    ``_cover_hole`` and settles most of them; it rejects only holes that
-    ``_cover_hole`` rejects too, so it changes the cost and not the
-    result.  Candidates are grouped by equal coverage mask once per call.
+    ..., swap_budget disks, each size in ``itertools.combinations``
+    order, with the hole each leaves (``_drop_holes``), and applies the
+    first swap found: the first cover of the hole by at most j-1
+    candidates that ``_coverable`` finds, branching on the hole's lowest
+    point.  Its hitting walk settles most holes before any group is
+    scanned.  Passes repeat until none finds a swap.  Every swap trades
+    j disks for exactly j-1 (or 2 for none): a pass reaches j only when
+    no drop set of j-1 disks left a hole that j-2 candidates cover, and
+    dropping one disk fewer leaves a smaller hole.  So the result is
+    locally optimal for swaps of at most swap_budget disks, whichever
+    cover each swap took.  Candidates are grouped by equal coverage mask
+    once per call.
 
     Past 48 chosen disks the input is returned unchanged: a pass then
     scans over 17,000 drop sets of three, and in the benchmark only
@@ -294,17 +297,11 @@ def disk_cover_local_search(cand_masks: Sequence[int], n: int, chosen: Sequence[
     while True:
         masks = [cand_masks[c] for c in current]
         for drop, hole in _drop_holes(masks, full, swap_budget):
-            if hole == 0:
-                repl = ()
-            elif _hopeless(hole, len(drop) - 1, mg):
-                continue
-            else:
-                repl = _cover_hole(hole, mg, len(drop) - 1)
-                if repl is None:
-                    continue
-            current = [c for i, c in enumerate(current) if i not in drop]
-            current.extend(repl)
-            break
+            repl = _coverable(hole, len(drop) - 1, mg)
+            if repl is not None:
+                current = [c for i, c in enumerate(current) if i not in drop]
+                current.extend(repl)
+                break
         else:
             return current
 
@@ -344,127 +341,70 @@ class CapacityError(Exception):
 
 
 class _MaskGroups:
-    """Candidate indices grouped by equal nonzero coverage mask.
+    """Candidate indices grouped by equal nonzero coverage mask, for ``_coverable``.
 
-    ``groups`` holds (mask, ascending indices) in order of each group's
-    first index; ``by_bit[b]`` lists, in the same order, the groups whose
-    mask holds bit b; ``reach[b]`` is the OR of those groups' masks, every
-    point that shares a candidate with point b (see ``_hopeless``).
-    ``budget`` counts the ``_coverable`` nodes left before CapacityError:
-    infinite for local search, a node budget for ``oracle._min_cover``.
+    ``by_bit[b]`` lists (mask, lowest index) for the groups whose mask
+    holds bit b, in order of that index; ``reach[b]`` is the OR of those
+    masks, every point that shares a candidate with point b (the hitting
+    walk's strips).  ``budget`` counts the ``_coverable`` nodes left
+    before CapacityError: infinite for local search, a node budget for
+    ``oracle._min_cover``.
     """
 
     def __init__(self, cand_masks: Sequence[int]) -> None:
         self.budget = math.inf
-        index: dict[int, list[int]] = {}
+        first: dict[int, int] = {}
         for i, m in enumerate(cand_masks):
             if m:
-                index.setdefault(m, []).append(i)
-        self.groups = list(index.items())
-        self.by_bit: dict[int, list[tuple[int, list[int]]]] = {}
+                first.setdefault(m, i)
+        self.by_bit: dict[int, list[tuple[int, int]]] = {}
         self.reach: dict[int, int] = {}
-        for g in self.groups:
-            m = rest = g[0]
+        for m, i in first.items():
+            rest = m
             while rest:
                 low = rest & -rest
                 b = low.bit_length() - 1
-                self.by_bit.setdefault(b, []).append(g)
+                self.by_bit.setdefault(b, []).append((m, i))
                 self.reach[b] = self.reach.get(b, 0) | m
                 rest ^= low
 
 
-def _hopeless(rem: int, r: int, mg: _MaskGroups) -> bool:
-    """True when no r candidates cover ``rem``, proved by a hitting walk.
+def _coverable(rem: int, r: int, mg: _MaskGroups) -> tuple[int, ...] | None:
+    """At most r candidates whose masks cover ``rem``: the first such cover
+    found, as the lowest index of each equal-mask group it uses, or None.
 
-    Take b1 as rem's lowest point and strip ``reach[b1]``, then b2 as the
-    lowest point left, and so on.  No candidate holds both bi and a later
-    bj, since bj lies outside ``reach[bi]``; so points left after r strips
-    give r + 1 points that need r + 1 distinct candidates.  A False says
-    nothing: the walk only certifies, and the scan decides the rest.
-    """
-    for _ in range(r):
-        if rem == 0:
-            return False
-        rem &= ~mg.reach.get((rem & -rem).bit_length() - 1, 0)
-    return rem != 0
-
-
-def _coverable(rem: int, after: int, r: int, mg: _MaskGroups) -> tuple[int, ...] | None:
-    """At most r group masks, each group with a member above index ``after``,
-    that cover ``rem``: the first such cover found, or None.
-
-    One of them holds rem's lowest bit: the search branches on the groups
-    holding it, in group order.  A node is a call that gets past the
-    hitting walk (``_hopeless``); each spends one unit of ``mg.budget``.
-    The ``after`` filter only removes groups, so a hole that the walk
-    settles for all groups is settled for these too.
+    A hitting walk bounds each call.  Take b1 as rem's lowest point and
+    strip ``reach[b1]``, then b2 as the lowest point left, and so on.  No
+    candidate holds both bi and a later bj, since bj lies outside
+    ``reach[bi]``; so points left after r strips give r + 1 points that
+    need r + 1 distinct candidates, and the call returns None without
+    scanning a group.  Otherwise one mask of any cover holds rem's lowest
+    bit: the search branches on the groups holding it, in group order.
+    A node is a call that gets past the walk; each spends one unit of
+    ``mg.budget``.
     """
     if rem == 0:
         return ()
-    if r == 0 or _hopeless(rem, r, mg):
+    left = rem
+    for _ in range(r):
+        left &= ~mg.reach.get((left & -left).bit_length() - 1, 0)
+        if not left:
+            break
+    else:
+        # r strips left points over (or r == 0)
         return None
     mg.budget -= 1
     if mg.budget < 0:
         raise CapacityError("cover search node budget exhausted")
-    for mask, ix in mg.by_bit.get((rem & -rem).bit_length() - 1, ()):
-        if ix[-1] > after:
-            rest = rem & ~mask
-            if rest == 0:
-                return (mask,)
-            if r > 1:
-                used = _coverable(rest, after, r - 1, mg)
-                if used is not None:
-                    return (mask,) + used
+    for mask, i in mg.by_bit.get((rem & -rem).bit_length() - 1, ()):
+        rest = rem & ~mask
+        if rest == 0:
+            return (i,)
+        if r > 1:
+            used = _coverable(rest, r - 1, mg)
+            if used is not None:
+                return (i,) + used
     return None
-
-
-def _cover_hole(need: int, mg: _MaskGroups, size: int) -> tuple[int, ...] | None:
-    """Lexicographically first ``size`` candidates whose masks cover ``need``.
-
-    Returns the first of ``itertools.combinations(useful, size)`` whose
-    masks cover ``need``, with ``useful`` the candidates whose masks
-    meet ``need`` in ascending order; None when none does.  It never
-    enumerates those combinations.  Candidates whose masks agree on
-    ``need`` form one equal-mask class, and whether a partial choice
-    extends to a cover depends only on the classes chosen and on how
-    many members of each class lie above the last pick.  So each
-    position takes the smallest index that still admits a completion:
-    classes are tried in ascending order of their first member above the
-    previous pick (bisected from the sorted index lists), each class
-    once.  r more picks complete a cover iff at most r classes with a
-    member above the pick (read off each group's largest index) cover
-    the rest of ``need``, and at least r useful candidates lie above the
-    pick.  Each such test (``_coverable``) first runs the hitting walk
-    ``_hopeless``, which proves in r big-int ANDs that no r candidates at
-    all cover the rest; the walk only ever returns a verdict the scan
-    would reach, so the pick is the same with or without it.
-    """
-    # most holes fail here: no `size` groups cover them at all, and the
-    # hitting walk proves it for most of those without scanning a group
-    if size == 0 or _coverable(need, -1, size, mg) is None:
-        return None
-    useful = [(m, ix) for m, ix in mg.groups if m & need]
-    pick: list[int] = []
-    got, after = 0, -1
-    for r in range(size - 1, -1, -1):
-        firsts = sorted((ix[bisect.bisect_right(ix, after)], m)
-                        for m, ix in useful if ix[-1] > after)
-        tried: set[int] = set()
-        for i, m in firsts:
-            key = m & need
-            if key in tried:
-                # an earlier member of this class admitted no completion
-                continue
-            tried.add(key)
-            if (_coverable(need & ~(got | m), i, r, mg) is not None
-                    and sum(len(ix) - bisect.bisect_right(ix, i)
-                            for _, ix in useful) >= r):
-                break
-        else:
-            return None
-        pick.append(i)
-        got, after = got | m, i
-    return tuple(pick)
 
 
 def disk_cover_approx(points: Sequence[Point], radius: float,

@@ -7,7 +7,8 @@ brute force all call it.  It reads the fires' masks from a
 ``cover.fire_masks`` table, which a burning-number solve builds once for
 all its horizons.  Minimum equal-disk covers and minimum dominating sets
 run on the planar local search's set-cover search instead (``_min_cover``
-over ``cover._coverable``).  Both searches carry a node budget and raise
+over ``cover._coverable``, the one search behind every local-search
+swap).  Both searches carry a node budget and raise
 CapacityError when it runs out, so callers never hang.
 
 Both prune by dominance (``cover.maximal_masks``): a mask inside another
@@ -187,12 +188,14 @@ def _min_cover(masks: Sequence[int], n: int, max_size: int | None,
     cover of size <= max_size exists: ``cover._coverable`` at sizes 1, 2, ...
 
     Only the maximal masks are searched (``cover.maximal_masks``; of
-    equal masks the first index).  The points are first relabelled, those
-    held by the fewest masks at the lowest bits (ties by index), so that
-    each node branches on the uncovered point with the fewest options:
-    Knuth's rule from "Dancing links" (2000), fixed once per call.  By the
-    original indices a strict k-burning guess at n = 198 ran out of the
-    default budget.  A node is a ``_coverable`` call past its hitting walk.
+    equal masks the first index).  They are distinct, so each is its own
+    group, and the search's indices map back through the kept entries.
+    The points are first relabelled, those held by the fewest masks at
+    the lowest bits (ties by index), so that each node branches on the
+    uncovered point with the fewest options: Knuth's rule from "Dancing
+    links" (2000), fixed once per call.  By the original indices a strict
+    k-burning guess at n = 198 ran out of the default budget.  A node is
+    a ``_coverable`` call past its hitting walk.
     """
     if n == 0:
         return []
@@ -204,12 +207,11 @@ def _min_cover(masks: Sequence[int], n: int, max_size: int | None,
     relabelled = pack_masks(hits[:, np.argsort(hits.sum(axis=0), kind="stable")])
     mg = _MaskGroups(relabelled)
     mg.budget = node_budget
-    ident = {m: i for (i, _), m in zip(entries, relabelled)}
     upper = n if max_size is None else min(max_size, n)
     for size in range(1, upper + 1):
-        used = _coverable((1 << n) - 1, -1, size, mg)
+        used = _coverable((1 << n) - 1, size, mg)
         if used is not None:
-            return [ident[m] for m in used]
+            return [entries[i][0] for i in used]
     return None
 
 

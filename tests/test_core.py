@@ -224,6 +224,64 @@ def test_validation_invariant_under_rigid_motion():
 
 
 @st.composite
+def integer_schedules(draw):
+    # integer points (repeats allowed) and integer rates; sources in steps
+    # 1..T on instance points (anywhere fires also off them), some points
+    # placed just inside or outside a final fire disk, and maybe one stray
+    # source off the points or outside 1..T
+    coord = st.integers(-20, 20)
+    model = Model(draw(st.sampled_from([POINT, ANYWHERE])), draw(st.integers(1, 2)))
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=6))
+    rates = draw(st.lists(st.integers(1, 4), min_size=len(pts), max_size=len(pts)))
+    T = draw(st.integers(1, 8))
+    srcs = []
+    for _ in range(draw(st.integers(0, 4))):
+        if model.tag == POINT or draw(st.booleans()):
+            i = draw(st.integers(0, len(pts) - 1))
+            center, rate = pts[i], rates[i]
+        else:
+            center, rate = draw(st.tuples(coord, coord)), draw(st.integers(1, 4))
+        srcs.append((center, draw(st.integers(1, T)), rate))
+    for (cx, cy), s, rate in srcs:
+        # |dx| <= r and dy = floor(sqrt(r^2 - dx^2)) + {0, 1}: on or inside the
+        # boundary, or outside it by as little as 1/(2r + 1)
+        r = rate * (T - s)
+        dx = draw(st.integers(-r, r))
+        dy = (math.isqrt(r * r - dx * dx) + draw(st.integers(0, 1))) * draw(st.sampled_from([1, -1]))
+        pts.append((cx + dx, cy + dy))
+        rates.append(draw(st.integers(1, 4)))
+    if draw(st.booleans()):
+        srcs.append((draw(st.tuples(coord, coord)), draw(st.integers(0, T + 1)),
+                     draw(st.integers(1, 4))))
+    return pts, rates, model, T, srcs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(integer_schedules(), st.integers(-8, 8),
+       st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6)))
+def test_validation_invariant_under_translation_and_scaling(case, e, shift):
+    # scaling coordinates and rates by 2^e and then translating by integers
+    # is exact in floats here.  Before scaling a fire's radius r is an
+    # integer and a point's squared distance d^2 too, so a missed point lies
+    # at least 1/(d + r) > 1/200 outside the radius; after scaling that is
+    # still far beyond TOL, and every verdict of the validator must stay
+    # the same
+    pts, rates, model, T, srcs = case
+    scale, (tx, ty) = 2.0 ** e, shift
+
+    def report(f, g):
+        inst = Instance.planar([f(p) for p in pts], rates=[g(r) for r in rates])
+        sched = BurnSchedule(model, T, [BurnSource(Point(*f(c)), s, g(r)) for c, s, r in srcs])
+        rep = validate_schedule(inst, sched)
+        return (rep.valid, rep.unburned, [v.rule for v in rep.violations],
+                [w.rule for w in rep.warnings])
+
+    before = report(lambda p: p, float)
+    after = report(lambda p: (p[0] * scale + tx, p[1] * scale + ty), lambda r: r * scale)
+    assert before == after
+
+
+@st.composite
 def boundary_fires(draw):
     # fires with rates 1e-9..1e300 at coordinates up to +-1e300, each with
     # points drawn within 8 ulps of its reach (radius + TOL), some straight

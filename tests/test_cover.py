@@ -17,9 +17,8 @@ from geoburn.core import TOL, BurnSource, Instance, Point, burns, distance
 from geoburn.cover import (
     _MaskGroups,
     _coverable,
-    _cover_hole,
     _drop_holes,
-    _hopeless,
+    CapacityError,
     ANNULUS_INNER_FRACTION,
     FIVE_COVER_CENTERS,
     FIVE_COVER_RADIUS,
@@ -252,7 +251,8 @@ def _cover_hole_reference(need, cand_masks, size):
 
 def _local_search_reference(points, radius, chosen, candidates, swap_budget):
     # disk_cover_local_search without its caps, by plain enumeration:
-    # every drop set's union recomputed, every hole enumerated
+    # every drop set's union recomputed, every hole enumerated, and each
+    # swap taking the lexicographically first j - 1 candidates
     cand_masks = coverage_masks(candidates, radius, points)
     full = (1 << len(points)) - 1
     current = list(chosen)
@@ -310,41 +310,78 @@ def _cluster_holes(rng):
         yield need, masks
 
 
-def test_cover_hole_matches_enumeration():
+def _covered_within(need, cand_masks, r):
+    # whether at most r candidates cover `need`, by plain enumeration
+    return need == 0 or any(_cover_hole_reference(need, cand_masks, size) is not None
+                            for size in range(1, r + 1))
+
+
+def test_coverable_matches_enumeration():
     rng = random.Random(314)
     found = {family: [0, 0, 0, 0] for family in ("random", "cluster")}
-    settled = 0
+    settled = searched = 0
     for family, holes in (("random", _random_holes(rng)),
                           ("cluster", _cluster_holes(rng))):
         for need, masks in holes:
             mg = _MaskGroups(masks)
+            mg.budget = start = 10 ** 9
             size = rng.randint(1, 3)
-            want = _cover_hole_reference(need, masks, size)
-            assert _cover_hole(need, mg, size) == want, (need, masks, size)
-            found[family][size] += want is not None
-            # the walk never rejects a hole that some `size` candidates cover
-            if _hopeless(need, size, mg):
-                assert want is None, (need, masks, size)
-                settled += family == "cluster"
-            # `after` drops the candidates up to it; at most `size` of the
-            # rest cover the hole, and the witness is such a cover: group
-            # masks, each with a member above `after`
-            after = rng.randint(-1, len(masks))
-            above = [m if i > after else 0 for i, m in enumerate(masks)]
-            used = _coverable(need, after, size, mg)
-            assert (used is not None) == (
-                need == 0 or any(_cover_hole_reference(need, above, r) is not None
-                                 for r in range(1, size + 1))), (need, masks, size, after)
+            used = _coverable(need, size, mg)
+            nodes = start - mg.budget
+            assert (used is not None) == _covered_within(need, masks, size), (need, masks, size)
+            found[family][size] += used is not None and need != 0
             if used is not None:
-                members = dict(mg.groups)
-                assert len(used) <= size, (need, masks, size, after, used)
-                assert all(members[m][-1] > after for m in used), (need, masks, after, used)
-                assert need & ~reduce(or_, used, 0) == 0, (need, masks, used)
-    # every size meets holes that do get covered, in both families, and
-    # the walk settles many of the cluster holes
+                # at most `size` candidates, each the lowest index of its
+                # equal-mask group, that cover the hole
+                assert len(used) <= size, (need, masks, size, used)
+                assert all(masks.index(masks[i]) == i for i in used), (masks, used)
+                assert need & ~reduce(or_, (masks[i] for i in used), 0) == 0, (need, masks, used)
+            # a call that spends no node was settled by the hitting walk
+            settled += family == "cluster" and need != 0 and nodes == 0
+            if nodes:
+                searched += 1
+                # the same search under its exact node count, and one short of it
+                mg.budget = nodes
+                assert _coverable(need, size, mg) == used
+                mg.budget = nodes - 1
+                with pytest.raises(CapacityError):
+                    _coverable(need, size, mg)
+    # every size meets holes that do get covered, in both families; the
+    # walk settles many of the cluster holes, and many holes get searched
     assert min(found["random"][1:]) > 100
     assert min(found["cluster"][1:]) > 20
     assert settled >= 100
+    assert searched >= 100
+
+
+def test_coverable_takes_first_cover_found():
+    # the search branches on the hole's lowest point: mask 1 holds it, and
+    # mask 2 then covers the rest.  The lexicographically first pair of
+    # candidates that covers the hole is (0, 3).
+    masks = [0b0110, 0b0011, 0b1100, 0b1001]
+    assert _coverable(0b1111, 2, _MaskGroups(masks)) == (1, 2)
+    assert _cover_hole_reference(0b1111, masks, 2) == (0, 3)
+    # a repeated mask answers with its lowest index
+    assert _coverable(0b0011, 1, _MaskGroups([0, 0b0111, 0b0011, 0b0111])) == (1,)
+    assert _coverable(0, 0, _MaskGroups(masks)) == ()
+    assert _coverable(0b0001, 0, _MaskGroups(masks)) is None
+    mg = _MaskGroups(masks)
+    mg.budget = 0
+    with pytest.raises(CapacityError):
+        _coverable(0b1111, 2, mg)
+
+
+def _assert_locally_optimal(masks, n, chosen, got, budget):
+    # the output covers every point, is no larger than the input, and no
+    # drop set of j = 2..budget of its disks leaves a hole that j - 1
+    # candidates cover
+    full = (1 << n) - 1
+    assert reduce(or_, (masks[i] for i in got), 0) == full, (chosen, got)
+    assert len(got) <= len(chosen), (chosen, got)
+    for j in range(2, budget + 1):
+        for drop in itertools.combinations(range(len(got)), j):
+            hole = full & ~reduce(or_, (masks[c] for i, c in enumerate(got) if i not in drop), 0)
+            assert not _covered_within(hole, masks, j - 1), (got, drop)
 
 
 def test_local_search_matches_enumeration():
@@ -372,6 +409,7 @@ def test_local_search_matches_enumeration():
                                            budget)
             got = disk_cover_local_search(masks, n, chosen, budget)
             assert [cands[i] for i in got] == want, (pts, radius, budget)
+            _assert_locally_optimal(masks, n, chosen, got, budget)
 
 
 def test_drop_holes_match_combinations():
@@ -426,7 +464,9 @@ def test_local_search_matches_reference_on_adversarial_points(case):
     chosen = (disk_cover_greedy(masks, len(pts)) if greedy
               else [i for i, c in enumerate(cands) if c in pts])
     want = _local_search_reference(pts, radius, [cands[i] for i in chosen], cands, budget)
-    assert [cands[i] for i in disk_cover_local_search(masks, len(pts), chosen, budget)] == want
+    got = disk_cover_local_search(masks, len(pts), chosen, budget)
+    assert [cands[i] for i in got] == want
+    _assert_locally_optimal(masks, len(pts), chosen, got, budget)
 
 
 def test_approx_builds_masks_once(monkeypatch):
